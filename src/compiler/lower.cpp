@@ -5,25 +5,6 @@
 
 namespace cl {
 
-namespace {
-
-/** Digit sizes partitioning l towers into t digits. */
-std::vector<unsigned>
-digitSizes(unsigned l, unsigned t)
-{
-    const unsigned a = static_cast<unsigned>(ceilDiv(l, t));
-    std::vector<unsigned> sizes;
-    unsigned left = l;
-    while (left > 0) {
-        const unsigned d = std::min(a, left);
-        sizes.push_back(d);
-        left -= d;
-    }
-    return sizes;
-}
-
-} // namespace
-
 Program
 Lowering::lower(const HomProgram &hp)
 {
@@ -82,8 +63,9 @@ Lowering::lower(const HomProgram &hp)
         const unsigned tk = std::min(t, lk);
         const unsigned a = static_cast<unsigned>(ceilDiv(lk, tk));
         const unsigned ext = lk + a;
-        const unsigned dnum =
-            static_cast<unsigned>(digitSizes(lk, tk).size());
+        // lk towers in digits of a towers (the last one may be short)
+        // make ceil(lk / a) digits, which can be fewer than tk.
+        const unsigned dnum = static_cast<unsigned>(ceilDiv(lk, a));
         const std::string cache_key =
             key_id + "#d" + std::to_string(dnum);
         auto it = kshCache.find(cache_key);
@@ -131,19 +113,20 @@ Lowering::lower(const HomProgram &hp)
                               std::uint32_t out_vid,
                               const std::string &tag) {
         ++stats_.keyswitches;
-        const auto sizes = digitSizes(l, t);
-        const unsigned dnum = static_cast<unsigned>(sizes.size());
         const unsigned a = static_cast<unsigned>(ceilDiv(l, t));
+        const unsigned dnum = static_cast<unsigned>(ceilDiv(l, a));
         const unsigned ext = l + a;
         const std::uint32_t ksh = get_ksh(key_id, l, t);
 
         // --- Mod-up: INTT l, change base per digit, NTT the raised
         //     residues (Listing 1, lines 2-4). ---
         std::uint64_t crb_macs = 0;
-        for (unsigned dj : sizes) {
+        for (unsigned left = l; left > 0;) {
+            const unsigned dj = std::min(a, left);
             // Single-prime digits lift by broadcast (no multiplies).
             if (dj > 1)
                 crb_macs += static_cast<std::uint64_t>(dj) * (ext - dj);
+            left -= dj;
         }
         const std::uint64_t ntt_mu =
             static_cast<std::uint64_t>(dnum) * ext; // INTT l + NTT rest

@@ -2,61 +2,16 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <set>
 
 #include "sim/trace.h"
+#include "sim/unitpool.h"
 
 namespace cl {
 
 namespace {
 
 constexpr std::uint32_t noUse = std::numeric_limits<std::uint32_t>::max();
-
-/** A pool of identical units with per-unit busy-until times. */
-class UnitPool
-{
-  public:
-    explicit UnitPool(unsigned count) : freeAt_(count, 0) {}
-
-    unsigned count() const { return static_cast<unsigned>(freeAt_.size()); }
-
-    /** Earliest time >= ready at which @p k units are simultaneously
-     *  free (unit availability is monotonic, so the k-th smallest
-     *  free time works). */
-    std::uint64_t
-    earliest(unsigned k, std::uint64_t ready) const
-    {
-        CL_ASSERT(k <= freeAt_.size(), "pool oversubscribed: need ", k,
-                  " of ", freeAt_.size());
-        if (k == 0)
-            return ready;
-        std::vector<std::uint64_t> sorted(freeAt_);
-        std::nth_element(sorted.begin(), sorted.begin() + (k - 1),
-                         sorted.end());
-        return std::max(ready, sorted[k - 1]);
-    }
-
-    /** Occupy @p k units from @p start for @p duration cycles. */
-    void
-    acquire(unsigned k, std::uint64_t start, std::uint64_t duration)
-    {
-        // Take the k units with the earliest free times.
-        std::vector<std::size_t> order(freeAt_.size());
-        for (std::size_t i = 0; i < order.size(); ++i)
-            order[i] = i;
-        std::sort(order.begin(), order.end(), [&](auto a, auto b) {
-            return freeAt_[a] < freeAt_[b];
-        });
-        for (unsigned i = 0; i < k; ++i) {
-            CL_ASSERT(freeAt_[order[i]] <= start, "unit busy at acquire");
-            freeAt_[order[i]] = start + duration;
-        }
-    }
-
-  private:
-    std::vector<std::uint64_t> freeAt_;
-};
 
 } // namespace
 
@@ -77,11 +32,11 @@ Simulator::run(const Program &prog, TraceSink *trace)
     };
 
     // --- Resource pools ---
-    std::array<std::unique_ptr<UnitPool>, numFuTypes> fuPools;
-    for (unsigned t = 0; t < numFuTypes; ++t) {
-        fuPools[t] = std::make_unique<UnitPool>(
+    std::vector<UnitPool> fuPools;
+    fuPools.reserve(numFuTypes);
+    for (unsigned t = 0; t < numFuTypes; ++t)
+        fuPools.emplace_back(
             std::max(1u, cfg_.fuCount(static_cast<FuType>(t))));
-    }
     UnitPool ports(cfg_.rfPorts);
 
     // Network: bandwidth-limited single resource.
@@ -225,19 +180,24 @@ Simulator::run(const Program &prog, TraceSink *trace)
     std::uint64_t prev_issue = 0;
     std::uint64_t last_finish = 0;
 
+    // Per-instruction scratch, reused so that issuing allocates nothing
+    // once the buffers reach the widest instruction.
+    std::vector<std::uint32_t> pinned;
+    std::vector<std::uint32_t> unique_reads;
+    std::array<unsigned, numFuTypes> fu_need;
+
     for (const PolyInst &inst : prog.insts) {
         cur_inst = inst.id;
         std::uint64_t ready = prev_issue;
 
         // Pin everything this instruction touches.
-        std::vector<std::uint32_t> pinned = inst.reads;
+        pinned.assign(inst.reads.begin(), inst.reads.end());
         pinned.insert(pinned.end(), inst.writes.begin(), inst.writes.end());
 
         // Operand residency (prefetched on the memory timeline). A
         // value listed twice in `reads` is one operand: it is fetched
         // — and its transfer charged — exactly once per instruction.
-        std::vector<std::uint32_t> unique_reads;
-        unique_reads.reserve(inst.reads.size());
+        unique_reads.clear();
         for (std::uint32_t vid : inst.reads) {
             if (std::find(unique_reads.begin(), unique_reads.end(),
                           vid) == unique_reads.end())
@@ -280,7 +240,7 @@ Simulator::run(const Program &prog, TraceSink *trace)
         // Same-type FuUse entries compose: the pool must have the
         // *sum* of their units simultaneously free. Querying each use
         // independently would let two batches claim overlapping units.
-        std::array<unsigned, numFuTypes> fu_need{};
+        fu_need.fill(0);
         for (const FuUse &use : inst.fus) {
             CL_ASSERT(cfg_.fuCount(use.type) > 0, "inst ", inst.id, " (",
                       inst.mnemonic, ") needs absent FU ",
@@ -290,8 +250,7 @@ Simulator::run(const Program &prog, TraceSink *trace)
         for (unsigned t = 0; t < numFuTypes; ++t) {
             if (fu_need[t] == 0)
                 continue;
-            const std::uint64_t at = fuPools[t]->earliest(fu_need[t],
-                                                          start);
+            const std::uint64_t at = fuPools[t].earliest(fu_need[t], start);
             if (at > start) {
                 binding = StallReason::Fu;
                 binding_fu = static_cast<FuType>(t);
@@ -321,7 +280,7 @@ Simulator::run(const Program &prog, TraceSink *trace)
 
         for (unsigned t = 0; t < numFuTypes; ++t) {
             if (fu_need[t] > 0)
-                fuPools[t]->acquire(fu_need[t], start, inst.duration);
+                fuPools[t].acquire(fu_need[t], start, inst.duration);
         }
         for (const FuUse &use : inst.fus) {
             stats.fuBusy[static_cast<unsigned>(use.type)] +=

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sim/simulator.h"
+#include "sim/unitpool.h"
+#include "util/prng.h"
 
 namespace cl {
 namespace {
@@ -610,6 +615,114 @@ TEST(Simulator, EnergyAccountingConsistent)
     EXPECT_GT(e.total(), 0.0);
     EXPECT_GT(e.hbm, 0.0);
     EXPECT_GT(stats.avgPowerWatts(cfg), 0.0);
+}
+
+
+// --- Sorted unit pool vs the copy-and-sort reference ------------------
+
+namespace {
+
+/** The original pool: copies and partially sorts its busy-until times
+ *  on every query and sorts a unit index on every claim. Kept as the
+ *  oracle for UnitPool; only busyUntil() is added. */
+class SortPool
+{
+  public:
+    explicit SortPool(unsigned count) : freeAt_(count, 0) {}
+
+    std::uint64_t
+    earliest(unsigned k, std::uint64_t ready) const
+    {
+        CL_ASSERT(k <= freeAt_.size(), "pool oversubscribed: need ", k,
+                  " of ", freeAt_.size());
+        if (k == 0)
+            return ready;
+        std::vector<std::uint64_t> sorted(freeAt_);
+        std::nth_element(sorted.begin(), sorted.begin() + (k - 1),
+                         sorted.end());
+        return std::max(ready, sorted[k - 1]);
+    }
+
+    void
+    acquire(unsigned k, std::uint64_t start, std::uint64_t duration)
+    {
+        // Take the k units with the earliest free times.
+        std::vector<std::size_t> order(freeAt_.size());
+        for (std::size_t i = 0; i < order.size(); ++i)
+            order[i] = i;
+        std::sort(order.begin(), order.end(), [&](auto a, auto b) {
+            return freeAt_[a] < freeAt_[b];
+        });
+        for (unsigned i = 0; i < k; ++i) {
+            CL_ASSERT(freeAt_[order[i]] <= start, "unit busy at acquire");
+            freeAt_[order[i]] = start + duration;
+        }
+    }
+
+    std::vector<std::uint64_t>
+    busyUntil() const
+    {
+        std::vector<std::uint64_t> sorted(freeAt_);
+        std::sort(sorted.begin(), sorted.end());
+        return sorted;
+    }
+
+  private:
+    std::vector<std::uint64_t> freeAt_;
+};
+
+} // namespace
+
+TEST(UnitPool, MatchesSortReference)
+{
+    // Random claims against both pools: every earliest() answer and
+    // the busy-until multiset must agree after every acquire. Times
+    // and durations are drawn from small ranges so that equal free
+    // times (ties) are common; k = 0 and k = count are forced often.
+    for (unsigned count : {1u, 2u, 5u, 12u, 32u, 64u}) {
+        SCOPED_TRACE(count);
+        FastRng rng(count);
+        UnitPool pool(count);
+        SortPool ref(count);
+        std::uint64_t now = 0;
+        for (int step = 0; step < 2000; ++step) {
+            const std::uint64_t roll = rng.nextBelow(8);
+            const unsigned k =
+                roll == 0 ? 0u
+                : roll == 1
+                    ? count
+                    : static_cast<unsigned>(rng.nextBelow(count + 1));
+            now += rng.nextBelow(4);
+            const std::uint64_t ready = now + rng.nextBelow(3);
+            for (unsigned q = 0; q <= count; ++q)
+                ASSERT_EQ(pool.earliest(q, ready), ref.earliest(q, ready))
+                    << "step " << step << " k " << q;
+            const std::uint64_t start =
+                pool.earliest(k, ready) + rng.nextBelow(2);
+            const std::uint64_t duration = rng.nextBelow(6);
+            pool.acquire(k, start, duration);
+            ref.acquire(k, start, duration);
+            ASSERT_EQ(pool.busyUntil(), ref.busyUntil()) << "step " << step;
+            ASSERT_TRUE(std::is_sorted(pool.busyUntil().begin(),
+                                       pool.busyUntil().end()));
+        }
+    }
+}
+
+TEST(UnitPool, OversubscribedAcquireIsFatal)
+{
+    // acquire() checks k itself; it must not rely on a prior
+    // earliest() call to reject an oversubscribed claim.
+    UnitPool pool(4);
+    EXPECT_DEATH(pool.acquire(5, 0, 10), "pool oversubscribed");
+    EXPECT_DEATH((void)pool.earliest(5, 0), "pool oversubscribed");
+}
+
+TEST(UnitPool, BusyUnitAtAcquireIsFatal)
+{
+    UnitPool pool(2);
+    pool.acquire(2, 0, 100);
+    EXPECT_DEATH(pool.acquire(1, 50, 10), "unit busy at acquire");
 }
 
 } // namespace
