@@ -1,7 +1,10 @@
 #include "bootstrap.h"
 
+#include <bit>
 #include <cmath>
-#include <map>
+#include <set>
+
+#include "util/threadpool.h"
 
 namespace cl {
 
@@ -50,6 +53,66 @@ chebyshevFit(const std::function<double(double)> &f, unsigned degree)
     return c;
 }
 
+/** Chebyshev coefficients at or below this magnitude are dropped. */
+constexpr double kChebZero = 1e-13;
+
+/** Paterson–Stockmeyer split point for a block of degree @p deg >= m:
+ *  the largest power-of-two multiple g of @p m with 2g <= deg. */
+unsigned
+chebSplit(std::size_t deg, unsigned m)
+{
+    unsigned g = m;
+    while (2 * g <= deg)
+        g *= 2;
+    return g;
+}
+
+/**
+ * The Chebyshev indices j >= 2 whose T_j the Paterson–Stockmeyer
+ * evaluation of @p coeffs reads — the leaf blocks' nonzero terms and
+ * every split point — closed under the product recurrence
+ * T_j = 2 T_ceil(j/2) T_floor(j/2) - T_(j mod 2), and grouped by
+ * dependence depth ceil(log2 j) (T_1 is depth 0): every index in level
+ * k is a product of two indices from earlier levels.
+ */
+std::vector<std::vector<unsigned>>
+chebyshevLevels(const std::vector<double> &coeffs, unsigned m)
+{
+    std::set<unsigned> need;
+    std::function<void(unsigned)> require = [&](unsigned j) {
+        if (j <= 1 || !need.insert(j).second)
+            return;
+        require((j + 1) / 2);
+        require(j / 2);
+    };
+    std::function<void(const std::vector<double> &)> walk =
+        [&](const std::vector<double> &b) {
+            const std::size_t deg = b.size() - 1;
+            if (deg < m) {
+                for (std::size_t j = 1; j <= deg; ++j) {
+                    if (std::abs(b[j]) > kChebZero)
+                        require(static_cast<unsigned>(j));
+                }
+                return;
+            }
+            const unsigned g = chebSplit(deg, m);
+            require(g);
+            auto [q, r] = chebDivide(b, g);
+            walk(q);
+            walk(r);
+        };
+    walk(coeffs);
+
+    std::vector<std::vector<unsigned>> levels;
+    for (unsigned j : need) {
+        const auto depth = static_cast<std::size_t>(std::bit_width(j - 1));
+        if (levels.size() < depth)
+            levels.resize(depth);
+        levels[depth - 1].push_back(j);
+    }
+    return levels;
+}
+
 } // namespace
 
 Bootstrapper::Bootstrapper(const CkksContext &ctx,
@@ -87,6 +150,7 @@ Bootstrapper::Bootstrapper(const CkksContext &ctx,
     chebCoeffs_ = chebyshevFit(
         [a](double u) { return std::sin(a * u) / (2.0 * M_PI); },
         params_.chebDegree);
+    chebLevels_ = chebyshevLevels(chebCoeffs_, params_.babySteps);
 
     // --- Keys: relinearization, conjugation, BSGS rotations. ---
     relin_ = keygen.genRelinKey();
@@ -187,39 +251,51 @@ Bootstrapper::buildDiagonals(const Matrix &m, unsigned level,
     DiagCache dc;
     dc.nonzero.assign(n, 0);
     dc.ptData.resize(n);
-    if (need_ext)
-        dc.ptExt.resize(n);
-    dc.hasExt = need_ext;
 
-    // Extended basis Q_level ∪ P, matching Evaluator::decompose for
-    // the context-default digit size every hint here is built with.
-    std::vector<unsigned> ext_idx;
-    if (need_ext) {
-        ext_idx = ctx_.dataIdx(level);
-        for (unsigned i : ctx_.specialIdx())
-            ext_idx.push_back(i);
-    }
-
-    for (std::size_t d = 0; d < n; ++d) {
+    // Diagonals encode independently: each index writes only its own
+    // slot, so the cache is the same at any worker count.
+    parallelFor(0, n, [&](std::size_t d) {
         const std::vector<Complex> diag = rotatedDiagonal(m, d);
         bool nonzero = false;
         for (const Complex &c : diag)
             nonzero |= std::abs(c) > 1e-14;
         if (!nonzero)
-            continue;
+            return;
         dc.nonzero[d] = 1;
         RnsPoly pt = encoder_.encode(diag, p_scale, level);
         pt.toNtt();
         ctx_.ops().ntts += pt.towers();
         dc.ptData[d] = std::move(pt);
-        if (need_ext) {
-            RnsPoly pe = encoder_.encode(diag, p_scale, ext_idx);
-            pe.toNtt();
-            ctx_.ops().ntts += pe.towers();
-            dc.ptExt[d] = std::move(pe);
-        }
-    }
+    });
+    if (need_ext)
+        addExtDiagonals(m, level, dc);
     return dc;
+}
+
+void
+Bootstrapper::addExtDiagonals(const Matrix &m, unsigned level,
+                              DiagCache &dc) const
+{
+    const std::size_t n = ctx_.slots();
+    const double p_scale =
+        static_cast<double>(ctx_.chain().modulus(level - 1));
+    // Extended basis Q_level ∪ P, matching Evaluator::decompose for
+    // the context-default digit size every hint here is built with.
+    std::vector<unsigned> ext_idx = ctx_.dataIdx(level);
+    for (unsigned i : ctx_.specialIdx())
+        ext_idx.push_back(i);
+
+    dc.ptExt.resize(n);
+    parallelFor(0, n, [&](std::size_t d) {
+        if (!dc.nonzero[d])
+            return;
+        RnsPoly pe = encoder_.encode(rotatedDiagonal(m, d), p_scale,
+                                     ext_idx);
+        pe.toNtt();
+        ctx_.ops().ntts += pe.towers();
+        dc.ptExt[d] = std::move(pe);
+    });
+    dc.hasExt = true;
 }
 
 const Bootstrapper::DiagCache &
@@ -229,20 +305,18 @@ Bootstrapper::diagonals(const Matrix &m, int which, unsigned level,
     // Serializes concurrent first builds of the same (matrix, level)
     // entry; after warmup every call is a map lookup under the lock.
     // Returned references stay valid outside the lock because map
-    // nodes are stable. The one rebuild case — an entry built without
-    // ext-basis plaintexts upgraded by a need_ext caller — replaces
-    // the mapped value, so concurrent transforms must agree on the
-    // execution mode (bootstrap() always uses params_.ltMode; mixing
-    // modes concurrently via applyCoeffToSlot is a test-only pattern
-    // and tests do it serially).
+    // nodes are stable and an entry's nonzero/ptData never change
+    // once built: a need_ext caller that finds an entry without
+    // ext-basis plaintexts fills ptExt in place, which no reader of
+    // the data-basis plaintexts touches, and only then sets hasExt.
     std::lock_guard<std::mutex> lock(diagMutex_);
     const auto key = std::make_pair(which, level);
     auto it = diagCache_.find(key);
-    if (it == diagCache_.end() || (need_ext && !it->second.hasExt)) {
-        it = diagCache_
-                 .insert_or_assign(key, buildDiagonals(m, level, need_ext))
+    if (it == diagCache_.end())
+        it = diagCache_.emplace(key, buildDiagonals(m, level, need_ext))
                  .first;
-    }
+    else if (need_ext && !it->second.hasExt)
+        addExtDiagonals(m, level, it->second);
     return it->second;
 }
 
@@ -290,15 +364,17 @@ Bootstrapper::linearTransform(const Ciphertext &ct, const Matrix &m,
     // ciphertexts; HoistedLazy keeps the keyswitch inner products in
     // the extended basis (k0/k1, still carrying the P factor) plus the
     // exact rotated c0, deferring every mod-down to the giant steps.
+    // The baby rotations are independent: each runs as one task that
+    // writes only its own slot.
     std::vector<Ciphertext> baby;
     std::vector<RnsPoly> k0(n1), k1(n1), c0rot(n1);
     if (!lazy) {
         baby.resize(n1);
         baby[0] = ct;
     }
-    for (unsigned b = 1; b < n1; ++b) {
+    parallelFor(1, n1, [&](std::size_t b) {
         if (!baby_used[b])
-            continue;
+            return;
         const std::size_t gal =
             eval_.galoisFromSteps(static_cast<int>(b));
         switch (mode) {
@@ -320,16 +396,19 @@ Bootstrapper::linearTransform(const Ciphertext &ct, const Matrix &m,
             break;
         }
         }
-    }
+    });
 
-    Ciphertext acc;
-    bool first = true;
-    for (unsigned g = 0; g < n2; ++g) {
+    // Giant steps are independent too: each builds its inner sum (and
+    // under HoistedLazy its deferred mod-down pair) and its giant
+    // rotation into its own slot; the slots are summed in g order.
+    std::vector<Ciphertext> giant(n2);
+    std::vector<char> giant_used(n2, 0);
+    parallelFor(0, n2, [&](std::size_t g) {
         Ciphertext inner;
         bool inner_first = true;
         if (!lazy) {
             for (unsigned b = 0; b < n1; ++b) {
-                const std::size_t d = static_cast<std::size_t>(g) * n1 + b;
+                const std::size_t d = g * n1 + b;
                 if (d >= n)
                     break;
                 if (!dc->nonzero[d])
@@ -347,7 +426,7 @@ Bootstrapper::linearTransform(const Ciphertext &ct, const Matrix &m,
             RnsPoly ext0, ext1;
             bool ext_first = true;
             for (unsigned b = 0; b < n1; ++b) {
-                const std::size_t d = static_cast<std::size_t>(g) * n1 + b;
+                const std::size_t d = g * n1 + b;
                 if (d >= n)
                     break;
                 if (!dc->nonzero[d])
@@ -387,13 +466,19 @@ Bootstrapper::linearTransform(const Ciphertext &ct, const Matrix &m,
             }
         }
         if (inner_first)
+            return;
+        if (g > 0)
+            inner = eval_.rotate(inner, static_cast<int>(g * n1), galois_);
+        giant[g] = std::move(inner);
+        giant_used[g] = 1;
+    });
+
+    Ciphertext acc;
+    bool first = true;
+    for (unsigned g = 0; g < n2; ++g) {
+        if (!giant_used[g])
             continue;
-        if (g > 0) {
-            inner = eval_.rotate(
-                inner, static_cast<int>(static_cast<std::size_t>(g) * n1),
-                galois_);
-        }
-        acc = first ? inner : eval_.add(acc, inner);
+        acc = first ? std::move(giant[g]) : eval_.add(acc, giant[g]);
         first = false;
     }
     CL_ASSERT(!first, "linear transform with all-zero matrix");
@@ -415,23 +500,28 @@ Bootstrapper::applySlotToCoeff(const Ciphertext &ct,
     return linearTransform(ct, slotToCoeff_, 1, mode);
 }
 
-Ciphertext
-Bootstrapper::evalChebyshev(const Ciphertext &u) const
+std::array<Ciphertext, 2>
+Bootstrapper::evalChebyshev(const Ciphertext &u, const Ciphertext &v) const
 {
-    // Chebyshev ciphertexts T_j(u), built with the depth-logarithmic
-    // recurrence T_{a+b} = 2 T_a T_b - T_{|a-b|}.
-    std::map<unsigned, Ciphertext> cache;
-    cache.emplace(1, u);
+    // Chebyshev ciphertexts T_j(x) of both halves, one preallocated
+    // slot per index, built with the depth-logarithmic recurrence
+    // T_{a+b} = 2 T_a T_b - T_{|a-b|}. Each dependence level is one
+    // parallel region over (half, index): a task reads only slots of
+    // earlier levels and writes only its own.
+    unsigned top = 1;
+    for (const auto &lvl : chebLevels_)
+        top = std::max(top, lvl.back());
+    std::array<std::vector<Ciphertext>, 2> basis;
+    basis[0].resize(top + 1);
+    basis[1].resize(top + 1);
+    basis[0][1] = u;
+    basis[1][1] = v;
 
-    std::function<const Ciphertext &(unsigned)> get_t =
-        [&](unsigned j) -> const Ciphertext & {
-        auto it = cache.find(j);
-        if (it != cache.end())
-            return it->second;
+    auto product = [&](const std::vector<Ciphertext> &t, unsigned j) {
         const unsigned a = (j + 1) / 2;
         const unsigned b = j / 2;
-        Ciphertext ta = get_t(a);
-        Ciphertext tb = get_t(b);
+        Ciphertext ta = t[a];
+        Ciphertext tb = t[b];
         const unsigned lvl = std::min(ta.level(), tb.level());
         eval_.levelDrop(ta, lvl);
         eval_.levelDrop(tb, lvl);
@@ -445,12 +535,19 @@ Bootstrapper::evalChebyshev(const Ciphertext &u) const
                 prod, encoder_.encode(one, prod.scale, prod.level()));
         } else {
             // a - b == 1: subtract T_1 aligned to the product.
-            Ciphertext t1 = cache.at(1);
+            Ciphertext t1 = t[1];
             alignPair(prod, t1);
             prod = eval_.sub(prod, t1);
         }
-        return cache.emplace(j, std::move(prod)).first->second;
+        return prod;
     };
+    for (const auto &lvl : chebLevels_) {
+        parallelFor(0, 2 * lvl.size(), [&](std::size_t i) {
+            std::vector<Ciphertext> &t = basis[i % 2];
+            const unsigned j = lvl[i / 2];
+            t[j] = product(t, j);
+        });
+    }
 
     const unsigned m = params_.babySteps;
 
@@ -474,8 +571,17 @@ Bootstrapper::evalChebyshev(const Ciphertext &u) const
         return r;
     };
 
-    std::function<Ciphertext(const std::vector<double> &)> eval_rec =
-        [&](const std::vector<double> &b) -> Ciphertext {
+    // Paterson–Stockmeyer recursion over the finished basis @p t.
+    std::function<Ciphertext(const std::vector<double> &,
+                             const std::vector<Ciphertext> &)>
+        eval_rec = [&](const std::vector<double> &b,
+                       const std::vector<Ciphertext> &t) -> Ciphertext {
+        auto get_t = [&](unsigned j) -> const Ciphertext & {
+            CL_ASSERT(j < t.size() && t[j].level() > 0,
+                      "Chebyshev index ", j, " outside the basis plan");
+            return t[j];
+        };
+        const Ciphertext &x = t[1];
         const std::size_t deg = b.size() - 1;
         if (deg < m) {
             // Direct combination sum_j b_j T_j: every term is raised
@@ -483,18 +589,18 @@ Bootstrapper::evalChebyshev(const Ciphertext &u) const
             // summed, and rescaled once.
             std::vector<unsigned> idx;
             for (std::size_t j = 1; j <= deg; ++j) {
-                if (std::abs(b[j]) > 1e-13)
+                if (std::abs(b[j]) > kChebZero)
                     idx.push_back(static_cast<unsigned>(j));
             }
             if (idx.empty()) {
-                // Constant block: zero out a copy of u, add b[0].
-                Ciphertext z = mul_scalar_raw(u, 0.0, u.scale);
+                // Constant block: zero out a copy of x, add b[0].
+                Ciphertext z = mul_scalar_raw(x, 0.0, x.scale);
                 std::vector<Complex> c0(ctx_.slots(),
                                         Complex(b[0], 0));
                 return eval_.addPlain(
                     z, encoder_.encode(c0, z.scale, z.level()));
             }
-            unsigned lvl = u.level();
+            unsigned lvl = x.level();
             for (unsigned j : idx)
                 lvl = std::min(lvl, get_t(j).level());
             const double q_last = static_cast<double>(
@@ -505,26 +611,24 @@ Bootstrapper::evalChebyshev(const Ciphertext &u) const
             Ciphertext acc;
             bool first = true;
             for (unsigned j : idx) {
-                Ciphertext t = get_t(j);
-                eval_.levelDrop(t, lvl);
-                t = mul_scalar_raw(t, b[j], target);
-                acc = first ? std::move(t) : eval_.add(acc, t);
+                Ciphertext tj = get_t(j);
+                eval_.levelDrop(tj, lvl);
+                tj = mul_scalar_raw(tj, b[j], target);
+                acc = first ? std::move(tj) : eval_.add(acc, tj);
                 first = false;
             }
             eval_.rescale(acc); // target / q_last == ref
-            if (std::abs(b[0]) > 1e-13) {
+            if (std::abs(b[0]) > kChebZero) {
                 std::vector<Complex> c0(ctx_.slots(), Complex(b[0], 0));
                 acc = eval_.addPlain(
                     acc, encoder_.encode(c0, acc.scale, acc.level()));
             }
             return acc;
         }
-        unsigned g = m;
-        while (2 * g <= deg)
-            g *= 2;
+        const unsigned g = chebSplit(deg, m);
         auto [q, r] = chebDivide(b, g);
-        Ciphertext cq = eval_rec(q);
-        Ciphertext cr = eval_rec(r);
+        Ciphertext cq = eval_rec(q, t);
+        Ciphertext cr = eval_rec(r, t);
         Ciphertext tg = get_t(g);
         const unsigned lvl = std::min(cq.level(), tg.level());
         eval_.levelDrop(cq, lvl);
@@ -535,7 +639,11 @@ Bootstrapper::evalChebyshev(const Ciphertext &u) const
         return eval_.add(prod, cr);
     };
 
-    return eval_rec(chebCoeffs_);
+    std::array<Ciphertext, 2> out;
+    parallelFor(0, 2, [&](std::size_t h) {
+        out[h] = eval_rec(chebCoeffs_, basis[h]);
+    });
+    return out;
 }
 
 Ciphertext
@@ -566,8 +674,7 @@ Bootstrapper::bootstrap(const Ciphertext &ct) const
     v.scale = s_norm;
 
     // 3. EvalMod on both halves: slots become ~ m/q0.
-    Ciphertext eu = evalChebyshev(u);
-    Ciphertext ev = evalChebyshev(v);
+    auto [eu, ev] = evalChebyshev(u, v);
 
     // 4. Recombine w = eu + i*ev, then SlotToCoeff.
     Ciphertext evi = mulConst(ev, Complex(0, 1));

@@ -21,6 +21,12 @@
  *  4. SlotToCoeff: apply the forward embedding to return the cleaned
  *     coefficients to their places.
  *
+ * Independent homomorphic ops — the BSGS baby and giant steps, the
+ * two EvalMod halves and their Chebyshev power bases, the diagonal
+ * encodings — run concurrently on the global ThreadPool, each task
+ * writing only its own slot, so the output bytes are the same at any
+ * worker count (DESIGN.md §5c, "Op-level parallelism").
+ *
  * Functional at small N (the mathematics is size-generic); the
  * accelerator-side cost of the same pipeline is modeled by
  * HomBuilder::bootstrap for the full-scale benchmarks.
@@ -29,6 +35,7 @@
 #ifndef CL_CKKS_BOOTSTRAP_H
 #define CL_CKKS_BOOTSTRAP_H
 
+#include <array>
 #include <atomic>
 #include <functional>
 #include <map>
@@ -152,13 +159,21 @@ class Bootstrapper
     DiagCache buildDiagonals(const Matrix &m, unsigned level,
                              bool need_ext) const;
 
+    /** Encode the ext-basis plaintexts of @p dc's nonzero diagonals
+     *  into dc.ptExt and set dc.hasExt; nonzero/ptData untouched. */
+    void addExtDiagonals(const Matrix &m, unsigned level,
+                         DiagCache &dc) const;
+
     /** Rotation diagonal d of M, pre-rotated for giant step g. */
     std::vector<Complex> rotatedDiagonal(const Matrix &m,
                                          std::size_t d) const;
 
-    /** Evaluate the Chebyshev-basis polynomial at ct (slots in
-     *  [-1,1]); returns sum_j coeffs[j] T_j(ct). */
-    Ciphertext evalChebyshev(const Ciphertext &u) const;
+    /** Evaluate the Chebyshev-basis polynomial at both EvalMod
+     *  halves (slots in [-1,1]); returns sum_j coeffs[j] T_j(x) for
+     *  x = u and x = v. The halves' power bases and recursions run
+     *  concurrently. */
+    std::array<Ciphertext, 2> evalChebyshev(const Ciphertext &u,
+                                            const Ciphertext &v) const;
 
     /** Align a ciphertext to (level, scale), spending spare levels. */
     Ciphertext alignTo(const Ciphertext &ct, unsigned level,
@@ -178,14 +193,19 @@ class Bootstrapper
     Matrix coeffToSlot_; // inverse special FFT
     Matrix slotToCoeff_; // forward special FFT
     std::vector<double> chebCoeffs_;
+    // Chebyshev indices the polynomial evaluation reads, closed under
+    // the product recurrence and grouped by dependence depth.
+    std::vector<std::vector<unsigned>> chebLevels_;
     SwitchKey relin_;
     GaloisKeys galois_;
     unsigned ltN1_ = 0; // resolved transform baby dimension
     // bootstrap() is const and the task-graph runtime calls it from
     // many workers at once: the depth record is atomic (every call
     // stores the same value) and the lazily built diagonal cache is
-    // mutex-guarded (map nodes are stable, so references handed out
-    // under the lock stay valid after it is released).
+    // mutex-guarded (map nodes are stable and a built entry's
+    // nonzero/ptData never move, so references handed out under the
+    // lock stay valid after it is released, whatever mode the other
+    // callers run).
     mutable std::atomic<unsigned> depthUsed_{0};
     mutable std::mutex diagMutex_;
     mutable std::map<std::pair<int, unsigned>, DiagCache> diagCache_;

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
 #include <new>
 #include <unordered_map>
 #include <vector>
@@ -52,7 +53,7 @@ envEnabled()
 }
 
 std::size_t
-threadCapBytes()
+capBytes()
 {
     static const std::size_t cap = [] {
         std::size_t mb = 256;
@@ -71,40 +72,58 @@ threadCapBytes()
 }
 
 /**
- * Per-thread free lists, keyed by exact byte size (PolyData buffers
- * are allocated at exact towers*N sizes, so exact keying recycles
- * every same-shape slab). Destroyed at thread exit, releasing parked
- * blocks; `t_cacheDead` keeps later frees on the same thread (static
- * destruction order) from touching the destroyed map.
+ * The process-wide free lists, keyed by exact byte size (PolyData
+ * buffers are allocated at exact towers*N sizes, so exact keying
+ * recycles every same-shape slab), under one mutex. The critical
+ * section is a hash lookup plus a vector push/pop. Destroyed with the
+ * other statics at exit, releasing parked blocks; `g_poolDead` keeps
+ * frees that run later in static destruction from touching the
+ * destroyed map.
  */
-struct Cache
+struct SharedPool
 {
+    std::mutex m;
     std::unordered_map<std::size_t, std::vector<void *>> bins;
-    std::size_t bytes = 0;
+    std::size_t bytes = 0; ///< Parked bytes; <= capBytes().
 
-    ~Cache();
+    /** Release every parked block. Caller holds m. */
+    void
+    releaseAll()
+    {
+        for (auto &[size, blocks] : bins) {
+            for (void *p : blocks)
+                ::operator delete(p);
+        }
+        bins.clear();
+        g_cachedBytes.fetch_sub(bytes, std::memory_order_relaxed);
+        bytes = 0;
+    }
+
+    ~SharedPool();
 };
 
-thread_local bool t_cacheDead = false;
+std::atomic<bool> g_poolDead{false};
 
-Cache &
-cache()
+SharedPool &
+sharedPool()
 {
-    thread_local Cache c;
-    return c;
+    static SharedPool pool;
+    return pool;
 }
 
-Cache::~Cache()
+SharedPool::~SharedPool()
 {
-    for (auto &[size, blocks] : bins) {
-        for (void *p : blocks) {
-            ::operator delete(p);
-            g_cachedBytes.fetch_sub(size, std::memory_order_relaxed);
-        }
-    }
-    bins.clear();
-    bytes = 0;
-    t_cacheDead = true;
+    std::lock_guard<std::mutex> lk(m);
+    releaseAll();
+    g_poolDead.store(true, std::memory_order_relaxed);
+}
+
+/** Whether a block of @p bytes takes the free-list path. */
+bool
+pooled(std::size_t bytes)
+{
+    return polyPoolEnabled() && bytes >= kMinPooledBytes &&
+           !g_poolDead.load(std::memory_order_relaxed);
 }
 
 } // namespace
@@ -151,20 +170,20 @@ polyPoolResetStats()
     // liveBytes/cachedBytes track real state; never reset.
 }
 
+std::size_t
+polyPoolCapBytes()
+{
+    return capBytes();
+}
+
 void
 polyPoolTrim()
 {
-    if (t_cacheDead)
+    if (g_poolDead.load(std::memory_order_relaxed))
         return;
-    Cache &c = cache();
-    for (auto &[size, blocks] : c.bins) {
-        for (void *p : blocks) {
-            ::operator delete(p);
-            g_cachedBytes.fetch_sub(size, std::memory_order_relaxed);
-        }
-    }
-    c.bins.clear();
-    c.bytes = 0;
+    SharedPool &pool = sharedPool();
+    std::lock_guard<std::mutex> lk(pool.m);
+    pool.releaseAll();
 }
 
 void *
@@ -172,13 +191,14 @@ polyPoolAllocate(std::size_t bytes)
 {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
     g_liveBytes.fetch_add(bytes, std::memory_order_relaxed);
-    if (polyPoolEnabled() && bytes >= kMinPooledBytes && !t_cacheDead) {
-        Cache &c = cache();
-        auto it = c.bins.find(bytes);
-        if (it != c.bins.end() && !it->second.empty()) {
+    if (pooled(bytes)) {
+        SharedPool &pool = sharedPool();
+        std::lock_guard<std::mutex> lk(pool.m);
+        auto it = pool.bins.find(bytes);
+        if (it != pool.bins.end() && !it->second.empty()) {
             void *p = it->second.back();
             it->second.pop_back();
-            c.bytes -= bytes;
+            pool.bytes -= bytes;
             g_hits.fetch_add(1, std::memory_order_relaxed);
             g_cachedBytes.fetch_sub(bytes, std::memory_order_relaxed);
             return p;
@@ -195,14 +215,16 @@ polyPoolDeallocate(void *p, std::size_t bytes) noexcept
         return;
     g_frees.fetch_add(1, std::memory_order_relaxed);
     g_liveBytes.fetch_sub(bytes, std::memory_order_relaxed);
-    if (polyPoolEnabled() && bytes >= kMinPooledBytes && !t_cacheDead &&
-        cache().bytes + bytes <= threadCapBytes()) {
-        Cache &c = cache();
-        c.bins[bytes].push_back(p);
-        c.bytes += bytes;
-        g_parked.fetch_add(1, std::memory_order_relaxed);
-        g_cachedBytes.fetch_add(bytes, std::memory_order_relaxed);
-        return;
+    if (pooled(bytes)) {
+        SharedPool &pool = sharedPool();
+        std::lock_guard<std::mutex> lk(pool.m);
+        if (pool.bytes + bytes <= capBytes()) {
+            pool.bins[bytes].push_back(p);
+            pool.bytes += bytes;
+            g_parked.fetch_add(1, std::memory_order_relaxed);
+            g_cachedBytes.fetch_add(bytes, std::memory_order_relaxed);
+            return;
+        }
     }
     ::operator delete(p);
 }

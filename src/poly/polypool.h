@@ -6,16 +6,22 @@
  * furious rate — every Evaluator op materializes result polynomials,
  * every keyswitch builds digit/accumulator scratch, every BSGS
  * transform encodes diagonal temporaries — and the set of sizes is
- * tiny: a handful of tower-count × N shapes per context. Under the
- * task-graph runtime many worker threads hit the allocator at once,
- * so round-tripping each slab through malloc serializes on the heap's
- * locks. This pool keeps per-thread free lists keyed by exact byte
- * size: a freed slab parks on the freeing thread's list and the next
- * same-shape allocation on that thread reuses it with no atomics and
- * no lock. Blocks always come from (and eventually return to)
- * `operator new`/`operator delete`, so enabling or disabling the pool
- * mid-run is safe — it only changes whether a free parks the block or
- * releases it.
+ * tiny: a handful of tower-count × N shapes per context. This pool
+ * keeps one process-wide set of free lists keyed by exact byte size,
+ * under one mutex: a freed slab parks on its size's list and the next
+ * same-shape allocation on *any* thread reuses it. Blocks always come
+ * from (and eventually return to) `operator new`/`operator delete`,
+ * so enabling or disabling the pool mid-run is safe — it only changes
+ * whether a free parks the block or releases it.
+ *
+ * Why one shared list: the hot path routinely frees a slab on a
+ * different thread than the one that allocated it — op-level parallel
+ * bootstrapping and the task-graph runtime build results on workers
+ * and hand them to the caller, who drops them. Per-thread lists
+ * stranded those blocks on the freeing thread's list while the
+ * allocating workers missed and went back to `operator new`, so
+ * parked memory grew with the thread count. The lock is held for a
+ * hash lookup and a vector push/pop only.
  *
  * Determinism: the pool changes *where* buffers live, never what is
  * computed — ciphertext bytes are identical with the pool on or off.
@@ -24,11 +30,12 @@
  *  - `CL_POOL=0|off` disables pooling (every call passes through to
  *    the system allocator); default on, except under AddressSanitizer
  *    where pooling would mask use-after-free of recycled slabs.
- *  - `CL_POOL_MB=<n>` caps each thread's parked bytes (default 256);
- *    frees beyond the cap release to the system allocator.
+ *  - `CL_POOL_MB=<n>` caps the bytes parked by the whole process
+ *    (default 256); frees beyond the cap release to the system
+ *    allocator.
  *
- * Thread exit releases that thread's parked blocks, so the pool holds
- * no memory after its users are gone (leak-checker clean).
+ * Static destruction at exit releases every parked block, so the pool
+ * holds no memory after its users are gone (leak-checker clean).
  */
 
 #ifndef CL_POLY_POLYPOOL_H
@@ -62,7 +69,10 @@ void polyPoolSetEnabled(bool on);
 PolyPoolStats polyPoolStats();
 void polyPoolResetStats();
 
-/** Release every block parked by the *calling* thread. */
+/** The effective process-wide parking cap in bytes (CL_POOL_MB). */
+std::size_t polyPoolCapBytes();
+
+/** Release every parked block (all threads share one pool). */
 void polyPoolTrim();
 
 /** Allocate @p bytes (operator-new alignment). Never returns null. */

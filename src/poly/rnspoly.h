@@ -34,7 +34,7 @@ namespace cl {
  * on resize, so freshly allocated polynomials that are immediately
  * overwritten (automorphism targets, base-conversion outputs, residue
  * copies) skip the zero-fill pass over towers*N words. Storage comes
- * from the per-thread polynomial pool (polypool.h): vectors allocate
+ * from the shared polynomial pool (polypool.h): vectors allocate
  * exact towers*N sizes, so freed slabs are recycled by shape instead
  * of round-tripping malloc on every Evaluator temporary.
  */

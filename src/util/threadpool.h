@@ -4,18 +4,24 @@
  * execution layer mirroring CraterLake's spatial parallelism: RNS
  * residue polynomials are independent across moduli (one per hardware
  * vector, Sec 4.1), so tower loops fan out across workers exactly as
- * towers fan out across lanes/FUs in the accelerator.
+ * towers fan out across lanes/FUs in the accelerator. Bootstrapping
+ * also fans out whole homomorphic ops (BSGS baby and giant steps, the
+ * EvalMod halves), whose kernels then run inline on their worker.
  *
  * Design constraints (and why):
  *  - No work stealing, no futures: every use site is a dense index
- *    range [begin, end) of equal-cost tower kernels; a shared atomic
- *    cursor is optimal and keeps the pool ~200 lines.
+ *    range [begin, end). Workers claim indices one at a time from a
+ *    shared atomic cursor, so a worker that finishes a cheap index
+ *    takes the next one at once; that dynamic claiming balances
+ *    unequal op-level tasks as well as equal-cost tower kernels, and
+ *    keeps the pool ~200 lines.
  *  - Determinism: parallelFor only partitions *which thread* runs an
  *    index, never what the index computes or where it writes, so
  *    parallel and serial execution are bit-identical by construction.
  *  - Nested calls run serially on the calling worker (tower kernels
- *    may themselves hit parallelized RnsPoly ops), so the pool can
- *    never deadlock on itself.
+ *    may themselves hit parallelized RnsPoly ops, and an op-level
+ *    task's kernels are all nested calls), so the pool can never
+ *    deadlock on itself.
  *  - `CL_THREADS` environment override; `nthreads <= 1` never spawns
  *    a thread and costs one branch per call.
  */

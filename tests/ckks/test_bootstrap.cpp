@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <memory>
+#include <thread>
 
 #include "ckks/bootstrap.h"
+#include "runtime/hostrun.h"
+#include "util/threadpool.h"
 
 namespace cl {
 namespace {
@@ -33,6 +37,37 @@ class BootstrapTest : public ::testing::Test
             std::make_unique<Decryptor>(*ctx_, keygen_->secretKey());
         eval_ = std::make_unique<Evaluator>(*ctx_);
         boot_ = std::make_unique<Bootstrapper>(*ctx_, *enc_, *keygen_);
+    }
+
+    void
+    TearDown() override
+    {
+        ThreadPool::setGlobalThreads(1); // leave no workers behind
+    }
+
+    /** A fresh Bootstrapper (empty diagonal cache) with the fixture's
+     *  exact keys: key generation is seeded from the parameters, so
+     *  replaying the fixture's key-generation calls reproduces them. */
+    std::unique_ptr<Bootstrapper>
+    freshBootstrapper()
+    {
+        KeyGenerator kg(*ctx_);
+        kg.genPublicKey();
+        return std::make_unique<Bootstrapper>(*ctx_, *enc_, kg);
+    }
+
+    Ciphertext
+    encryptAt(std::uint64_t seed, unsigned level)
+    {
+        return encryptor_->encrypt(
+            enc_->encode(randomReals(seed, 0.5), appScale, level),
+            appScale);
+    }
+
+    static std::uint64_t
+    digest(const Ciphertext &ct)
+    {
+        return digestCiphertext(1469598103934665603ull, ct);
     }
 
     std::vector<Complex>
@@ -112,6 +147,74 @@ TEST_F(BootstrapTest, DepthUsedIsReasonable)
     // levels on a 20-level chain.
     EXPECT_GE(boot_->depthUsed(), 8u);
     EXPECT_LE(boot_->depthUsed(), 18u);
+}
+
+TEST_F(BootstrapTest, BitIdenticalAcrossWorkerCounts)
+{
+    // Bootstrapping runs its baby steps, giant steps, diagonal
+    // encoding and the two EvalMod halves as concurrent tasks, each
+    // writing only its own slot: the bytes must not depend on the
+    // worker count, nor on running inside a graph worker (where every
+    // parallelFor runs inline). Each count gets a fresh Bootstrapper
+    // so the diagonal cache is also built at that count.
+    const Ciphertext exhausted = encryptAt(4, 1);
+    const Ciphertext top = encryptAt(5, ctx_->l());
+    const Ciphertext mid = encryptAt(6, ctx_->l() / 2);
+    const LinearTransformMode modes[] = {
+        LinearTransformMode::Naive, LinearTransformMode::HoistedEager,
+        LinearTransformMode::HoistedLazy};
+
+    auto run = [&] {
+        const auto boot = freshBootstrapper();
+        std::vector<std::uint64_t> d = {digest(boot->bootstrap(exhausted))};
+        for (LinearTransformMode mode : modes) {
+            d.push_back(digest(boot->applyCoeffToSlot(top, mode)));
+            d.push_back(digest(boot->applySlotToCoeff(mid, mode)));
+        }
+        return d;
+    };
+
+    ThreadPool::setGlobalThreads(1);
+    const std::vector<std::uint64_t> ref = run();
+    for (unsigned threads : {2u, 4u, 8u}) {
+        ThreadPool::setGlobalThreads(threads);
+        EXPECT_EQ(run(), ref) << "CL_THREADS=" << threads;
+    }
+    ThreadPool::WorkerScope scope;
+    EXPECT_EQ(run(), ref) << "inside a WorkerScope";
+}
+
+TEST_F(BootstrapTest, ConcurrentModesShareTheDiagonalCache)
+{
+    // A Naive and a HoistedLazy transform racing on a fresh cache: the
+    // lazy caller upgrades the entry with ext-basis plaintexts while
+    // the naive caller may be reading its data-basis plaintexts. The
+    // upgrade fills the entry in place, so both see the bytes a
+    // serial run produces (and TSan/ASan see no race or stale read).
+    // The lazy caller starts a little later so that it usually finds
+    // the naive caller's entry and upgrades it mid-transform; the
+    // assertions hold in either order.
+    const Ciphertext top = encryptAt(7, ctx_->l());
+    const auto ref = freshBootstrapper();
+    const std::uint64_t naive_ref =
+        digest(ref->applyCoeffToSlot(top, LinearTransformMode::Naive));
+    const std::uint64_t lazy_ref =
+        digest(ref->applyCoeffToSlot(top, LinearTransformMode::HoistedLazy));
+
+    std::uint64_t naive = 0, lazy = 0;
+    std::thread t_naive([&] {
+        naive = digest(
+            boot_->applyCoeffToSlot(top, LinearTransformMode::Naive));
+    });
+    std::thread t_lazy([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        lazy = digest(
+            boot_->applyCoeffToSlot(top, LinearTransformMode::HoistedLazy));
+    });
+    t_naive.join();
+    t_lazy.join();
+    EXPECT_EQ(naive, naive_ref);
+    EXPECT_EQ(lazy, lazy_ref);
 }
 
 TEST(BootstrapUnits, ChebyshevFitApproximatesSine)

@@ -1,7 +1,10 @@
-/** Tests for the pooled slab allocator behind RnsPoly: reuse, live
- *  buffers never aliased, stats bookkeeping, leak-free trim, and
- *  clean pass-through when disabled. */
+/** Tests for the pooled slab allocator behind RnsPoly: reuse (also
+ *  across threads), live buffers never aliased, the process-wide cap,
+ *  stats bookkeeping, leak-free trim, and clean pass-through when
+ *  disabled. */
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -128,22 +131,62 @@ TEST_F(PolyPoolTest, DisabledPoolPassesThrough)
     EXPECT_EQ(polyPoolStats().cachedBytes, 0u);
 }
 
-TEST_F(PolyPoolTest, OtherThreadsHaveTheirOwnLists)
+TEST_F(PolyPoolTest, BlockFreedOnAnotherThreadIsReused)
 {
-    // A block parked on another thread must not satisfy this thread's
-    // allocations (per-thread lists need no locks), and the worker's
-    // trim-on-exit must leave nothing cached.
+    // One process-wide list: a block parked by another thread must
+    // satisfy this thread's next same-size allocation, and trim must
+    // leave nothing cached afterwards.
     const PolyPoolStats before = polyPoolStats();
+    void *freed = nullptr;
     std::thread t([&] {
-        void *p = polyPoolAllocate(kBytes);
-        polyPoolDeallocate(p, kBytes);
-        polyPoolTrim();
+        freed = polyPoolAllocate(kBytes);
+        polyPoolDeallocate(freed, kBytes);
     });
     t.join();
+    EXPECT_EQ(polyPoolStats().cachedBytes, before.cachedBytes + kBytes)
+        << "the worker's free parked";
+    void *p = polyPoolAllocate(kBytes);
+    EXPECT_EQ(p, freed) << "the main thread reuses the worker's block";
+    EXPECT_EQ(polyPoolStats().hits, before.hits + 1);
+    polyPoolDeallocate(p, kBytes);
+
+    polyPoolTrim();
     const PolyPoolStats s = polyPoolStats();
-    EXPECT_EQ(s.cachedBytes, before.cachedBytes)
-        << "worker trim released its list";
+    EXPECT_EQ(s.cachedBytes, 0u) << "trim released the shared list";
     EXPECT_EQ(s.liveBytes, before.liveBytes);
+}
+
+TEST_F(PolyPoolTest, CapBoundsTheProcessTotal)
+{
+    // Several threads each free more than a share of the cap: the
+    // bytes parked over all threads never exceed it, and the frees
+    // beyond it release to the system allocator. The blocks are never
+    // touched, so they cost address space, not resident memory.
+    constexpr std::size_t kThreads = 4;
+    const std::size_t cap = polyPoolCapBytes();
+    const std::size_t block = std::max<std::size_t>(kBytes, cap / 32);
+    const std::size_t per_thread = cap / block / kThreads + 4;
+    std::vector<void *> blocks(kThreads * per_thread);
+    for (void *&p : blocks)
+        p = polyPoolAllocate(block);
+    std::atomic<bool> over{false};
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < kThreads; ++i) {
+        threads.emplace_back([&, i] {
+            for (std::size_t k = 0; k < per_thread; ++k) {
+                polyPoolDeallocate(blocks[i * per_thread + k], block);
+                if (polyPoolStats().cachedBytes > cap)
+                    over = true;
+            }
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+    const PolyPoolStats s = polyPoolStats();
+    EXPECT_FALSE(over) << "parked bytes exceeded the cap mid-run";
+    EXPECT_LE(s.cachedBytes, cap);
+    EXPECT_GT(s.parked, 0u) << "frees below the cap park";
+    EXPECT_LT(s.parked, s.frees) << "frees above the cap release";
 }
 
 TEST_F(PolyPoolTest, RnsPolyRoundTripsThroughThePool)
