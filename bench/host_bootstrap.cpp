@@ -1,25 +1,19 @@
 /**
  * @file
- * Host CKKS pipeline benchmarks: the BSGS linear transform (the
- * dominant non-EvalMod cost of bootstrapping) under five execution
- * strategies —
+ * Host CKKS pipeline benchmarks: the factored CoeffToSlot transform
+ * (4 sparse DFT stages, the dominant non-EvalMod cost of
+ * bootstrapping), under four execution strategies —
  *
- *   naive_fresh:  per-rotation keyswitch at the square 16x16 split,
- *                 diagonals re-encoded every call (the historical
- *                 baseline behavior);
+ *   naive_fresh:  per-rotation keyswitch, diagonals re-encoded every
+ *                 call (the historical baseline behavior);
  *   naive_cached: as above with cached diagonal plaintexts;
- *   hoisted:      one shared digit decompose for all baby rotations
- *                 (square split — eager mod-downs gain nothing from a
- *                 wider one);
- *   lazy_square:  shared decompose + extended-basis accumulation with
- *                 one mod-down per giant step, still at 16x16;
- *   lazy:         the default configuration — lazy accumulation at
- *                 the auto-widened 64x4 split, where deferred
- *                 mod-downs and hoisted babies pay off;
+ *   hoisted:      one shared digit decompose per stage for all its
+ *                 rotations, eager mod-downs;
+ *   lazy:         the default configuration — shared decompose plus
+ *                 extended-basis accumulation with one mod-down pair
+ *                 per stage;
  *
- * plus the full bootstrap pipeline naive vs lazy. The checked-in
- * BENCH_host.json table must show >= 1.5x naive_fresh -> lazy on the
- * CoeffToSlot transform.
+ * plus the full bootstrap pipeline naive vs lazy.
  */
 
 #include <benchmark/benchmark.h>
@@ -46,9 +40,8 @@ struct Host
     std::unique_ptr<KeyGenerator> keygen;
     PublicKey pk;
     std::unique_ptr<Encryptor> encryptor;
-    std::unique_ptr<Bootstrapper> cached;   // square split, cached
-    std::unique_ptr<Bootstrapper> uncached; // square split, no cache
-    std::unique_ptr<Bootstrapper> wide;     // default (auto) split
+    std::unique_ptr<Bootstrapper> cached;   // default: cached diagonals
+    std::unique_ptr<Bootstrapper> uncached; // re-encoded every call
     Ciphertext top;    // fresh ciphertext at the top of the chain
     Ciphertext bottom; // exhausted ciphertext at level 1
 
@@ -68,14 +61,11 @@ struct Host
         pk = keygen->genPublicKey();
         encryptor = std::make_unique<Encryptor>(*ctx, pk);
 
+        cached = std::make_unique<Bootstrapper>(*ctx, *enc, *keygen);
         BootstrapParams bp;
-        bp.ltBabySteps = 16; // historical square split
-        bp.cacheDiagonals = true;
-        cached = std::make_unique<Bootstrapper>(*ctx, *enc, *keygen, bp);
         bp.cacheDiagonals = false;
         uncached =
             std::make_unique<Bootstrapper>(*ctx, *enc, *keygen, bp);
-        wide = std::make_unique<Bootstrapper>(*ctx, *enc, *keygen);
 
         FastRng rng(1);
         std::vector<Complex> v(ctx->slots());
@@ -117,7 +107,7 @@ class FusionArg
 };
 
 /** Arg 0: 0 = naive_fresh, 1 = naive_cached, 2 = hoisted,
- *  3 = lazy_square, 4 = lazy (default wide split).
+ *  3 = lazy (default).
  *  Arg 1: fused kernel pipelines (CL_FUSE) on/off; the composed leg
  *  is benchmarked only for the headline lazy variant. */
 void
@@ -126,16 +116,13 @@ BM_CoeffToSlot(benchmark::State &state)
     Host &h = host();
     const int variant = static_cast<int>(state.range(0));
     FusionArg fuse(state, 1);
-    const Bootstrapper &boot = variant == 0   ? *h.uncached
-                               : variant == 4 ? *h.wide
-                                              : *h.cached;
+    const Bootstrapper &boot = variant == 0 ? *h.uncached : *h.cached;
     const LinearTransformMode mode =
         variant <= 1 ? LinearTransformMode::Naive
         : variant == 2 ? LinearTransformMode::HoistedEager
                        : LinearTransformMode::HoistedLazy;
     static const char *const kNames[] = {"naive_fresh", "naive_cached",
-                                         "hoisted", "lazy_square",
-                                         "lazy"};
+                                         "hoisted", "lazy"};
     state.SetLabel(std::string(kNames[variant]) +
                    (fuse.fused() ? "" : "/composed"));
 
@@ -149,7 +136,7 @@ BM_CoeffToSlot(benchmark::State &state)
 }
 BENCHMARK(BM_CoeffToSlot)
     ->Args({0, 1})->Args({1, 1})->Args({2, 1})->Args({3, 1})
-    ->Args({4, 1})->Args({4, 0})
+    ->Args({3, 0})
     ->Unit(benchmark::kMillisecond);
 
 /** Arg 0: naive vs lazy pipeline; arg 1: fused kernel pipelines
@@ -164,13 +151,11 @@ BM_Bootstrap(benchmark::State &state)
     bp.ltMode = lazy ? LinearTransformMode::HoistedLazy
                      : LinearTransformMode::Naive;
     bp.cacheDiagonals = lazy; // naive leg models the historical cost
-    if (!lazy)
-        bp.ltBabySteps = 16; // historical square split
     state.SetLabel(std::string(lazy ? "lazy_cached" : "naive_fresh") +
                    (fuse.fused() ? "" : "/composed"));
     Bootstrapper boot(*h.ctx, *h.enc, *h.keygen, bp);
-    // Prime the diagonal caches (including the wide ext-basis
-    // plaintexts) outside the timed region.
+    // Prime the diagonal caches (including the ext-basis plaintexts)
+    // outside the timed region.
     benchmark::DoNotOptimize(boot.bootstrap(h.bottom));
     for (auto _ : state) {
         Ciphertext fresh = boot.bootstrap(h.bottom);

@@ -113,87 +113,184 @@ chebyshevLevels(const std::vector<double> &coeffs, unsigned m)
     return levels;
 }
 
+
+/**
+ * Levels the Paterson–Stockmeyer evaluation of @p coeffs consumes,
+ * mirroring Bootstrapper::evalMod's level arithmetic: T_j sits
+ * ceil(log2 j) levels down, a leaf block one level below its deepest
+ * term, a product one level below its deeper operand, and a sum at
+ * its deeper operand. That assumes alignment only drops levels (the
+ * operands' scales agree, as the chain's primes track the scale);
+ * bootstrap() asserts the result.
+ */
+unsigned
+chebyshevDepth(const std::vector<double> &coeffs, unsigned m)
+{
+    auto t_depth = [](std::size_t j) {
+        return static_cast<unsigned>(std::bit_width(j - 1));
+    };
+    std::function<unsigned(const std::vector<double> &)> depth =
+        [&](const std::vector<double> &b) -> unsigned {
+        const std::size_t deg = b.size() - 1;
+        if (deg < m) {
+            unsigned d = 0;
+            bool any = false;
+            for (std::size_t j = 1; j <= deg; ++j) {
+                if (std::abs(b[j]) > kChebZero) {
+                    d = std::max(d, t_depth(j));
+                    any = true;
+                }
+            }
+            return any ? d + 1 : 0;
+        }
+        const unsigned g = chebSplit(deg, m);
+        auto [q, r] = chebDivide(b, g);
+        return std::max(std::max(depth(q), t_depth(g)) + 1, depth(r));
+    };
+    return depth(coeffs);
+}
+
+/**
+ * Group the butterfly levels @p lens (block lengths, in application
+ * order) into @p stages stages, earlier stages taking the extra
+ * levels, and store each stage as its nonzero diagonals. Column k of
+ * a stage is its levels applied to the unit vector e_k; a butterfly
+ * pairs a reached slot with an unreached one, so the zeros are exact.
+ */
+std::vector<DftStage>
+factorStages(std::size_t n, const std::vector<std::size_t> &lens,
+             unsigned stages,
+             const std::function<void(std::vector<Complex> &, std::size_t)>
+                 &level)
+{
+    CL_ASSERT(stages >= 1 && stages <= lens.size(), "cannot factor a ",
+              lens.size(), "-level special FFT into ", stages, " stages");
+    std::vector<DftStage> out(stages);
+    std::size_t next = 0;
+    for (unsigned s = 0; s < stages; ++s) {
+        const std::size_t r =
+            lens.size() / stages + (s < lens.size() % stages ? 1 : 0);
+        std::map<std::size_t, std::vector<Complex>> diags;
+        for (std::size_t k = 0; k < n; ++k) {
+            std::vector<Complex> col(n, Complex(0, 0));
+            col[k] = Complex(1, 0);
+            for (std::size_t l = next; l < next + r; ++l)
+                level(col, lens[l]);
+            for (std::size_t j = 0; j < n; ++j) {
+                if (col[j] == Complex(0, 0))
+                    continue;
+                std::vector<Complex> &d = diags[(k + n - j) % n];
+                if (d.empty())
+                    d.assign(n, Complex(0, 0));
+                d[j] = col[j];
+            }
+        }
+        next += r;
+        for (auto &[offset, d] : diags) {
+            out[s].offsets.push_back(offset);
+            out[s].diags.push_back(std::move(d));
+        }
+    }
+    return out;
+}
+
 } // namespace
+
+std::vector<DftStage>
+coeffToSlotStages(const CkksEncoder &encoder, unsigned stages)
+{
+    const std::size_t n = encoder.slots();
+    std::vector<std::size_t> lens;
+    for (std::size_t len = n; len >= 2; len >>= 1)
+        lens.push_back(len);
+    std::vector<DftStage> out = factorStages(
+        n, lens, stages, [&](std::vector<Complex> &v, std::size_t len) {
+            encoder.fftSpecialInvLevel(v, len);
+        });
+    const double inv = 1.0 / static_cast<double>(n);
+    for (auto &d : out[0].diags) {
+        for (Complex &c : d)
+            c *= inv;
+    }
+    return out;
+}
+
+std::vector<DftStage>
+slotToCoeffStages(const CkksEncoder &encoder, unsigned stages)
+{
+    const std::size_t n = encoder.slots();
+    std::vector<std::size_t> lens;
+    for (std::size_t len = 2; len <= n; len <<= 1)
+        lens.push_back(len);
+    return factorStages(n, lens, stages,
+                        [&](std::vector<Complex> &v, std::size_t len) {
+                            encoder.fftSpecialLevel(v, len);
+                        });
+}
+
+std::vector<double>
+evalModCosine(unsigned k, const BootstrapShape &shape)
+{
+    const double a = 2.0 * M_PI * k;
+    const double shrink =
+        std::ldexp(1.0, -static_cast<int>(shape.doubleAngles));
+    return chebyshevFit(
+        [=](double u) { return std::cos((a * u - M_PI / 2) * shrink); },
+        shape.chebDegree);
+}
 
 Bootstrapper::Bootstrapper(const CkksContext &ctx,
                            const CkksEncoder &encoder, KeyGenerator &keygen,
                            BootstrapParams params)
     : ctx_(ctx), encoder_(encoder), eval_(ctx), params_(params)
 {
-    const std::size_t n = ctx.slots();
-    CL_ASSERT(isPowerOfTwo(params_.babySteps), "babySteps power of two");
+    static_assert(std::has_single_bit(kShape.babySteps),
+                  "babySteps power of two");
     CL_ASSERT(ctx.params().secretHamming > 0 &&
                   ctx.params().secretHamming <= 2 * (params_.k - 2),
               "bootstrapping needs a sparse secret with ||s||_1 <= "
               "2(K-2); got h=",
               ctx.params().secretHamming, " for K=", params_.k);
 
-    // --- CoeffToSlot / SlotToCoeff matrices, probed directly from
-    //     the encoder's special FFT so slot ordering matches. ---
-    coeffToSlot_.assign(n, std::vector<Complex>(n));
-    slotToCoeff_.assign(n, std::vector<Complex>(n));
-    for (std::size_t k = 0; k < n; ++k) {
-        std::vector<Complex> e(n, Complex(0, 0));
-        e[k] = Complex(1, 0);
-        auto inv = e;
-        encoder_.fftSpecialInv(inv); // column k of the inverse map
-        auto fwd = e;
-        encoder_.fftSpecial(fwd); // column k of the forward map
-        for (std::size_t j = 0; j < n; ++j) {
-            coeffToSlot_[j][k] = inv[j];
-            slotToCoeff_[j][k] = fwd[j];
+    // --- EvalMod polynomial and the level budget. ---
+    chebCoeffs_ = evalModCosine(params_.k, kShape);
+    chebLevels_ = chebyshevLevels(chebCoeffs_, kShape.babySteps);
+    const unsigned poly_depth = chebyshevDepth(chebCoeffs_, kShape.babySteps);
+    depthUsed_ = kShape.ctsStages + poly_depth + kShape.doubleAngles +
+                 kShape.stcStages;
+    if (depthUsed_ >= ctx.l()) {
+        CL_FATAL("bootstrap shape needs ", depthUsed_, " levels (",
+                 kShape.ctsStages, " CoeffToSlot + ", poly_depth,
+                 " Chebyshev + ", kShape.doubleAngles, " double-angle + ",
+                 kShape.stcStages, " SlotToCoeff) but the chain budget is ",
+                 ctx.l() - 1, " (L = ", ctx.l(),
+                 ", the output keeps level >= 1)");
+    }
+
+    // --- Factored CoeffToSlot / SlotToCoeff; rotation keys only for
+    //     the offsets their diagonals sit at. ---
+    transforms_ = {coeffToSlotStages(encoder_, kShape.ctsStages),
+                   slotToCoeffStages(encoder_, kShape.stcStages)};
+    std::set<int> steps;
+    for (const auto &stages : transforms_) {
+        for (const DftStage &st : stages) {
+            for (std::size_t offset : st.offsets) {
+                if (offset != 0)
+                    steps.insert(static_cast<int>(offset));
+            }
         }
     }
 
-    // --- EvalMod polynomial: (1/2pi) sin(2 pi K u) on [-1, 1]. ---
-    const double a = 2.0 * M_PI * params_.k;
-    chebCoeffs_ = chebyshevFit(
-        [a](double u) { return std::sin(a * u) / (2.0 * M_PI); },
-        params_.chebDegree);
-    chebLevels_ = chebyshevLevels(chebCoeffs_, params_.babySteps);
+    // --- i in every slot at scale 1 is exactly the monomial X^(N/2). ---
+    monomialI_ = encoder_.encode(
+        std::vector<Complex>(ctx.slots(), Complex(0, 1)), 1.0, ctx.l());
+    monomialI_.toNtt();
 
-    // --- Keys: relinearization, conjugation, BSGS rotations. ---
+    // --- Keys: relinearization, conjugation, the stages' rotations. ---
     relin_ = keygen.genRelinKey();
-    ltN1_ = params_.ltBabySteps;
-    if (ltN1_ == 0) {
-        // Auto split: 4x wider than the square root. Hoisted baby
-        // rotations are cheap (no digit lift; under HoistedLazy no
-        // mod-down either), so trading giant steps for baby steps
-        // cuts the expensive full keyswitches and deferred mod-downs.
-        unsigned sq = 1;
-        while (static_cast<std::size_t>(sq) * sq < n)
-            sq <<= 1;
-        ltN1_ = std::min<unsigned>(static_cast<unsigned>(n), 4 * sq);
-    }
-    CL_ASSERT(isPowerOfTwo(ltN1_), "ltBabySteps power of two");
-    const unsigned n1 = std::min<unsigned>(ltN1_, static_cast<unsigned>(n));
-    ltN1_ = n1;
-    const unsigned n2 =
-        static_cast<unsigned>(ceilDiv(n, n1));
-    std::vector<int> steps;
-    for (unsigned b = 1; b < n1; ++b)
-        steps.push_back(static_cast<int>(b));
-    for (unsigned g = 1; g < n2; ++g)
-        steps.push_back(static_cast<int>(g * n1));
-    galois_ = keygen.genRotationKeys(steps, /*conjugate=*/true);
-}
-
-Ciphertext
-Bootstrapper::alignTo(const Ciphertext &ct, unsigned level,
-                      double scale) const
-{
-    Ciphertext r = ct;
-    const double rel = std::abs(r.scale - scale) / scale;
-    if (rel > 1e-9) {
-        CL_ASSERT(r.level() > level,
-                  "no spare level for scale alignment at level ",
-                  r.level());
-        r = eval_.mulScalar(r, scale / r.scale);
-        eval_.rescale(r);
-        r.scale = scale; // absorb the 2^-50 rounding mismatch
-    }
-    eval_.levelDrop(r, level);
-    return r;
+    galois_ = keygen.genRotationKeys(std::vector<int>(steps.begin(),
+                                                      steps.end()),
+                                     /*conjugate=*/true);
 }
 
 void
@@ -213,70 +310,37 @@ Bootstrapper::alignPair(Ciphertext &a, Ciphertext &b) const
 }
 
 Ciphertext
-Bootstrapper::mulConst(const Ciphertext &ct, Complex c) const
+Bootstrapper::mulI(const Ciphertext &ct) const
 {
-    const std::size_t n = ctx_.slots();
-    const double p_scale =
-        static_cast<double>(ct.c0.modulus(ct.level() - 1));
-    std::vector<Complex> v(n, c);
-    RnsPoly pt = encoder_.encode(v, p_scale, ct.level());
-    Ciphertext r = eval_.mulPlain(ct, pt, p_scale);
-    eval_.rescale(r);
-    return r;
-}
-
-std::vector<Complex>
-Bootstrapper::rotatedDiagonal(const Matrix &m, std::size_t d) const
-{
-    const std::size_t n = ctx_.slots();
-    const unsigned n1 = ltN1_;
-    // Diagonal d of M, pre-rotated by -g*n1 for the BSGS giant-step
-    // rotation that follows (g = d / n1).
-    const std::size_t rot = (d / n1) * n1 % n;
-    std::vector<Complex> diag(n);
-    for (std::size_t j = 0; j < n; ++j) {
-        const std::size_t jj = (j + n - rot) % n;
-        diag[j] = m[jj][(jj + d) % n];
-    }
-    return diag;
+    return eval_.mulPlain(ct, monomialI_, 1.0);
 }
 
 Bootstrapper::DiagCache
-Bootstrapper::buildDiagonals(const Matrix &m, unsigned level,
+Bootstrapper::buildDiagonals(const DftStage &st, unsigned level,
                              bool need_ext) const
 {
-    const std::size_t n = ctx_.slots();
     const double p_scale =
         static_cast<double>(ctx_.chain().modulus(level - 1));
     DiagCache dc;
-    dc.nonzero.assign(n, 0);
-    dc.ptData.resize(n);
+    dc.ptData.resize(st.offsets.size());
 
     // Diagonals encode independently: each index writes only its own
     // slot, so the cache is the same at any worker count.
-    parallelFor(0, n, [&](std::size_t d) {
-        const std::vector<Complex> diag = rotatedDiagonal(m, d);
-        bool nonzero = false;
-        for (const Complex &c : diag)
-            nonzero |= std::abs(c) > 1e-14;
-        if (!nonzero)
-            return;
-        dc.nonzero[d] = 1;
-        RnsPoly pt = encoder_.encode(diag, p_scale, level);
+    parallelFor(0, dc.ptData.size(), [&](std::size_t i) {
+        RnsPoly pt = encoder_.encode(st.diags[i], p_scale, level);
         pt.toNtt();
         ctx_.ops().ntts += pt.towers();
-        dc.ptData[d] = std::move(pt);
+        dc.ptData[i] = std::move(pt);
     });
     if (need_ext)
-        addExtDiagonals(m, level, dc);
+        addExtDiagonals(st, level, dc);
     return dc;
 }
 
 void
-Bootstrapper::addExtDiagonals(const Matrix &m, unsigned level,
+Bootstrapper::addExtDiagonals(const DftStage &st, unsigned level,
                               DiagCache &dc) const
 {
-    const std::size_t n = ctx_.slots();
     const double p_scale =
         static_cast<double>(ctx_.chain().modulus(level - 1));
     // Extended basis Q_level ∪ P, matching Evaluator::decompose for
@@ -285,48 +349,44 @@ Bootstrapper::addExtDiagonals(const Matrix &m, unsigned level,
     for (unsigned i : ctx_.specialIdx())
         ext_idx.push_back(i);
 
-    dc.ptExt.resize(n);
-    parallelFor(0, n, [&](std::size_t d) {
-        if (!dc.nonzero[d])
-            return;
-        RnsPoly pe = encoder_.encode(rotatedDiagonal(m, d), p_scale,
-                                     ext_idx);
+    dc.ptExt.resize(st.offsets.size());
+    parallelFor(0, dc.ptExt.size(), [&](std::size_t i) {
+        RnsPoly pe = encoder_.encode(st.diags[i], p_scale, ext_idx);
         pe.toNtt();
         ctx_.ops().ntts += pe.towers();
-        dc.ptExt[d] = std::move(pe);
+        dc.ptExt[i] = std::move(pe);
     });
     dc.hasExt = true;
 }
 
 const Bootstrapper::DiagCache &
-Bootstrapper::diagonals(const Matrix &m, int which, unsigned level,
+Bootstrapper::diagonals(int which, std::size_t s, unsigned level,
                         bool need_ext) const
 {
-    // Serializes concurrent first builds of the same (matrix, level)
+    // Serializes concurrent first builds of the same (stage, level)
     // entry; after warmup every call is a map lookup under the lock.
     // Returned references stay valid outside the lock because map
-    // nodes are stable and an entry's nonzero/ptData never change
-    // once built: a need_ext caller that finds an entry without
-    // ext-basis plaintexts fills ptExt in place, which no reader of
-    // the data-basis plaintexts touches, and only then sets hasExt.
+    // nodes are stable and an entry's ptData never change once built:
+    // a need_ext caller that finds an entry without ext-basis
+    // plaintexts fills ptExt in place, which no reader of the
+    // data-basis plaintexts touches, and only then sets hasExt.
     std::lock_guard<std::mutex> lock(diagMutex_);
-    const auto key = std::make_pair(which, level);
+    const DftStage &st = transforms_[which][s];
+    const auto key = std::make_tuple(which, s, level);
     auto it = diagCache_.find(key);
     if (it == diagCache_.end())
-        it = diagCache_.emplace(key, buildDiagonals(m, level, need_ext))
+        it = diagCache_.emplace(key, buildDiagonals(st, level, need_ext))
                  .first;
     else if (need_ext && !it->second.hasExt)
-        addExtDiagonals(m, level, it->second);
+        addExtDiagonals(st, level, it->second);
     return it->second;
 }
 
 Ciphertext
-Bootstrapper::linearTransform(const Ciphertext &ct, const Matrix &m,
-                              int which, LinearTransformMode mode) const
+Bootstrapper::stageTransform(const Ciphertext &ct, int which,
+                             std::size_t s, LinearTransformMode mode) const
 {
-    const std::size_t n = ctx_.slots();
-    const unsigned n1 = ltN1_;
-    const unsigned n2 = static_cast<unsigned>(ceilDiv(n, n1));
+    const std::vector<std::size_t> &offsets = transforms_[which][s].offsets;
     const unsigned level = ct.level();
     const double p_scale =
         static_cast<double>(ct.c0.modulus(level - 1));
@@ -336,172 +396,125 @@ Bootstrapper::linearTransform(const Ciphertext &ct, const Matrix &m,
     DiagCache local;
     const DiagCache *dc;
     if (params_.cacheDiagonals) {
-        dc = &diagonals(m, which, level, lazy);
+        dc = &diagonals(which, s, level, lazy);
     } else {
-        local = buildDiagonals(m, level, lazy);
+        local = buildDiagonals(transforms_[which][s], level, lazy);
         dc = &local;
     }
 
-    // Which baby offsets carry at least one nonzero diagonal.
-    std::vector<char> baby_used(n1, 0);
-    for (std::size_t d = 0; d < n; ++d) {
-        if (dc->nonzero[d])
-            baby_used[d % n1] = 1;
-    }
-    bool any_rotated_baby = false;
-    for (unsigned b = 1; b < n1; ++b)
-        any_rotated_baby |= baby_used[b];
+    // A stage has few diagonals (<= 2^(r+1) - 1 for r merged butterfly
+    // levels), so every nonzero offset is a rotation of the input: the
+    // BSGS baby dimension is the slot count and there is one unrotated
+    // giant step. Offsets ascend, so only offsets[0] can be 0.
+    const std::size_t first = offsets[0] == 0 ? 1 : 0;
 
-    // Hoisted modes: lift the digits of c1 once; every baby rotation
-    // reuses them. All hints share the context-default digit size.
+    // Hoisted modes: lift the digits of c1 once; every rotation reuses
+    // them. All hints share the context-default digit size.
     KeySwitchDigits digits;
-    if (mode != LinearTransformMode::Naive && any_rotated_baby) {
+    if (mode != LinearTransformMode::Naive && first < offsets.size()) {
         const unsigned alpha_ks = galois_.keys.begin()->second.alphaKs;
         digits = eval_.decompose(ct.c1, alpha_ks);
     }
 
-    // Per-baby precomputation. Naive/HoistedEager materialize rotated
-    // ciphertexts; HoistedLazy keeps the keyswitch inner products in
-    // the extended basis (k0/k1, still carrying the P factor) plus the
-    // exact rotated c0, deferring every mod-down to the giant steps.
-    // The baby rotations are independent: each runs as one task that
-    // writes only its own slot.
-    std::vector<Ciphertext> baby;
-    std::vector<RnsPoly> k0(n1), k1(n1), c0rot(n1);
-    if (!lazy) {
-        baby.resize(n1);
-        baby[0] = ct;
-    }
-    parallelFor(1, n1, [&](std::size_t b) {
-        if (!baby_used[b])
-            return;
-        const std::size_t gal =
-            eval_.galoisFromSteps(static_cast<int>(b));
+    // Per-rotation precomputation. Naive/HoistedEager materialize
+    // rotated ciphertexts; HoistedLazy keeps the keyswitch inner
+    // products in the extended basis (k0/k1, still carrying the P
+    // factor) plus the exact rotated c0, deferring the mod-down to the
+    // end of the stage. The rotations are independent: each runs as
+    // one task that writes only its own slot.
+    const std::size_t count = offsets.size();
+    std::vector<Ciphertext> rot(lazy ? 0 : count);
+    std::vector<RnsPoly> k0(count), k1(count), c0rot(count);
+    if (!lazy && first == 1)
+        rot[0] = ct;
+    parallelFor(first, count, [&](std::size_t i) {
+        const int step = static_cast<int>(offsets[i]);
+        const std::size_t gal = eval_.galoisFromSteps(step);
         switch (mode) {
         case LinearTransformMode::Naive:
-            baby[b] = eval_.rotate(ct, static_cast<int>(b), galois_);
+            rot[i] = eval_.rotate(ct, step, galois_);
             break;
         case LinearTransformMode::HoistedEager:
-            baby[b] = eval_.rotateByGaloisHoisted(ct, gal,
-                                                  galois_.at(gal), digits);
+            rot[i] = eval_.rotateByGaloisHoisted(ct, gal, galois_.at(gal),
+                                                 digits);
             break;
         case LinearTransformMode::HoistedLazy: {
             // Digit rotation fused into the inner product (tower-tiled
             // under CL_FUSE; composed sequence otherwise).
             auto ip = eval_.innerProduct(digits, galois_.at(gal), gal);
-            k0[b] = std::move(ip.first);
-            k1[b] = std::move(ip.second);
-            c0rot[b] = ct.c0.automorphism(gal);
+            k0[i] = std::move(ip.first);
+            k1[i] = std::move(ip.second);
+            c0rot[i] = ct.c0.automorphism(gal);
             ops.automorphisms += level;
             break;
         }
         }
     });
 
-    // Giant steps are independent too: each builds its inner sum (and
-    // under HoistedLazy its deferred mod-down pair) and its giant
-    // rotation into its own slot; the slots are summed in g order.
-    std::vector<Ciphertext> giant(n2);
-    std::vector<char> giant_used(n2, 0);
-    parallelFor(0, n2, [&](std::size_t g) {
-        Ciphertext inner;
-        bool inner_first = true;
-        if (!lazy) {
-            for (unsigned b = 0; b < n1; ++b) {
-                const std::size_t d = g * n1 + b;
-                if (d >= n)
-                    break;
-                if (!dc->nonzero[d])
-                    continue;
-                Ciphertext term =
-                    eval_.mulPlain(baby[b], dc->ptData[d], p_scale);
-                inner = inner_first ? term : eval_.add(inner, term);
-                inner_first = false;
-            }
-        } else {
-            // Lazy accumulation: data-basis MACs for the exact parts
-            // (c0 rotations, the unrotated b = 0 term) and ext-basis
-            // MACs for the keyswitch products; one mod-down per
-            // component per giant step instead of one per rotation.
-            RnsPoly ext0, ext1;
-            bool ext_first = true;
-            for (unsigned b = 0; b < n1; ++b) {
-                const std::size_t d = g * n1 + b;
-                if (d >= n)
-                    break;
-                if (!dc->nonzero[d])
-                    continue;
-                if (inner_first) {
-                    inner.c0 =
-                        RnsPoly(ctx_.chain(), ctx_.dataIdx(level), true);
-                    inner.c1 =
-                        RnsPoly(ctx_.chain(), ctx_.dataIdx(level), true);
-                    inner_first = false;
-                }
-                if (b == 0) {
-                    inner.c0.addMulAssign(dc->ptData[d], ct.c0);
-                    inner.c1.addMulAssign(dc->ptData[d], ct.c1);
-                    ops.polyMults += 2 * level;
-                    ops.polyAdds += 2 * level;
-                } else {
-                    if (ext_first) {
-                        ext0 = RnsPoly(ctx_.chain(), digits.extIdx, true);
-                        ext1 = RnsPoly(ctx_.chain(), digits.extIdx, true);
-                        ext_first = false;
-                    }
-                    inner.c0.addMulAssign(dc->ptData[d], c0rot[b]);
-                    ext0.addMulAssign(dc->ptExt[d], k0[b]);
-                    ext1.addMulAssign(dc->ptExt[d], k1[b]);
-                    ops.polyMults += level + 2 * digits.extIdx.size();
-                    ops.polyAdds += level + 2 * digits.extIdx.size();
-                }
-            }
-            if (!inner_first) {
-                if (!ext_first) {
-                    inner.c0 += eval_.modDown(ext0);
-                    inner.c1 += eval_.modDown(ext1);
-                    ops.polyAdds += 2 * level;
-                }
-                inner.scale = ct.scale * p_scale;
-            }
-        }
-        if (inner_first)
-            return;
-        if (g > 0)
-            inner = eval_.rotate(inner, static_cast<int>(g * n1), galois_);
-        giant[g] = std::move(inner);
-        giant_used[g] = 1;
-    });
-
     Ciphertext acc;
-    bool first = true;
-    for (unsigned g = 0; g < n2; ++g) {
-        if (!giant_used[g])
-            continue;
-        acc = first ? std::move(giant[g]) : eval_.add(acc, giant[g]);
-        first = false;
+    if (!lazy) {
+        for (std::size_t i = 0; i < count; ++i) {
+            Ciphertext term = eval_.mulPlain(rot[i], dc->ptData[i], p_scale);
+            acc = i == 0 ? term : eval_.add(acc, term);
+        }
+    } else {
+        // Lazy accumulation: data-basis MACs for the exact parts (c0
+        // rotations, the unrotated term) and ext-basis MACs for the
+        // keyswitch products; one mod-down per component per stage
+        // instead of one per rotation.
+        acc.c0 = RnsPoly(ctx_.chain(), ctx_.dataIdx(level), true);
+        acc.c1 = RnsPoly(ctx_.chain(), ctx_.dataIdx(level), true);
+        if (first == 1) {
+            acc.c0.addMulAssign(dc->ptData[0], ct.c0);
+            acc.c1.addMulAssign(dc->ptData[0], ct.c1);
+            ops.polyMults += 2 * level;
+            ops.polyAdds += 2 * level;
+        }
+        if (first < count) {
+            RnsPoly ext0(ctx_.chain(), digits.extIdx, true);
+            RnsPoly ext1(ctx_.chain(), digits.extIdx, true);
+            for (std::size_t i = first; i < count; ++i) {
+                acc.c0.addMulAssign(dc->ptData[i], c0rot[i]);
+                ext0.addMulAssign(dc->ptExt[i], k0[i]);
+                ext1.addMulAssign(dc->ptExt[i], k1[i]);
+                ops.polyMults += level + 2 * digits.extIdx.size();
+                ops.polyAdds += level + 2 * digits.extIdx.size();
+            }
+            acc.c0 += eval_.modDown(ext0);
+            acc.c1 += eval_.modDown(ext1);
+            ops.polyAdds += 2 * level;
+        }
+        acc.scale = ct.scale * p_scale;
     }
-    CL_ASSERT(!first, "linear transform with all-zero matrix");
     eval_.rescale(acc);
     return acc;
+}
+Ciphertext
+Bootstrapper::linearTransform(const Ciphertext &ct, int which,
+                              LinearTransformMode mode) const
+{
+    Ciphertext out = ct;
+    for (std::size_t s = 0; s < transforms_[which].size(); ++s)
+        out = stageTransform(out, which, s, mode);
+    return out;
 }
 
 Ciphertext
 Bootstrapper::applyCoeffToSlot(const Ciphertext &ct,
                                LinearTransformMode mode) const
 {
-    return linearTransform(ct, coeffToSlot_, 0, mode);
+    return linearTransform(ct, 0, mode);
 }
 
 Ciphertext
 Bootstrapper::applySlotToCoeff(const Ciphertext &ct,
                                LinearTransformMode mode) const
 {
-    return linearTransform(ct, slotToCoeff_, 1, mode);
+    return linearTransform(ct, 1, mode);
 }
 
 std::array<Ciphertext, 2>
-Bootstrapper::evalChebyshev(const Ciphertext &u, const Ciphertext &v) const
+Bootstrapper::evalMod(const Ciphertext &u, const Ciphertext &v) const
 {
     // Chebyshev ciphertexts T_j(x) of both halves, one preallocated
     // slot per index, built with the depth-logarithmic recurrence
@@ -517,9 +530,21 @@ Bootstrapper::evalChebyshev(const Ciphertext &u, const Ciphertext &v) const
     basis[0][1] = u;
     basis[1][1] = v;
 
+    // 2 y^2 - 1: T_{2a} from T_a, and each double-angle step.
+    auto double_angle = [&](const Ciphertext &y) {
+        Ciphertext sq = eval_.square(y, relin_);
+        eval_.rescale(sq);
+        sq = eval_.add(sq, sq);
+        std::vector<Complex> one(ctx_.slots(), Complex(1, 0));
+        return eval_.subPlain(sq,
+                              encoder_.encode(one, sq.scale, sq.level()));
+    };
     auto product = [&](const std::vector<Ciphertext> &t, unsigned j) {
         const unsigned a = (j + 1) / 2;
         const unsigned b = j / 2;
+        if (a == b)
+            return double_angle(t[a]);
+        // a - b == 1: 2 T_a T_b - T_1, T_1 aligned to the product.
         Ciphertext ta = t[a];
         Ciphertext tb = t[b];
         const unsigned lvl = std::min(ta.level(), tb.level());
@@ -527,19 +552,10 @@ Bootstrapper::evalChebyshev(const Ciphertext &u, const Ciphertext &v) const
         eval_.levelDrop(tb, lvl);
         Ciphertext prod = eval_.multiply(ta, tb, relin_);
         eval_.rescale(prod);
-        prod = eval_.add(prod, prod); // 2 T_a T_b
-        if (a == b) {
-            // T_{2a} = 2 T_a^2 - 1.
-            std::vector<Complex> one(ctx_.slots(), Complex(1, 0));
-            prod = eval_.subPlain(
-                prod, encoder_.encode(one, prod.scale, prod.level()));
-        } else {
-            // a - b == 1: subtract T_1 aligned to the product.
-            Ciphertext t1 = t[1];
-            alignPair(prod, t1);
-            prod = eval_.sub(prod, t1);
-        }
-        return prod;
+        prod = eval_.add(prod, prod);
+        Ciphertext t1 = t[1];
+        alignPair(prod, t1);
+        return eval_.sub(prod, t1);
     };
     for (const auto &lvl : chebLevels_) {
         parallelFor(0, 2 * lvl.size(), [&](std::size_t i) {
@@ -549,7 +565,7 @@ Bootstrapper::evalChebyshev(const Ciphertext &u, const Ciphertext &v) const
         });
     }
 
-    const unsigned m = params_.babySteps;
+    const unsigned m = kShape.babySteps;
 
     // Multiply a ciphertext's slots by a real factor while declaring
     // an explicit output scale — one integer scalar multiply, no
@@ -639,9 +655,13 @@ Bootstrapper::evalChebyshev(const Ciphertext &u, const Ciphertext &v) const
         return eval_.add(prod, cr);
     };
 
+    // Per half: the cosine, then y <- 2y^2 - 1 per double angle.
     std::array<Ciphertext, 2> out;
     parallelFor(0, 2, [&](std::size_t h) {
-        out[h] = eval_rec(chebCoeffs_, basis[h]);
+        Ciphertext y = eval_rec(chebCoeffs_, basis[h]);
+        for (unsigned r = 0; r < kShape.doubleAngles; ++r)
+            y = double_angle(y);
+        out[h] = std::move(y);
     });
     return out;
 }
@@ -658,34 +678,35 @@ Bootstrapper::bootstrap(const Ciphertext &ct) const
     // 1. ModRaise: Dec becomes m + q0*k over the full chain.
     Ciphertext raised = eval_.modRaise(ct, l_top);
 
-    // 2. CoeffToSlot, then split the packed real/imag coefficient
-    //    halves with a conjugation.
-    Ciphertext t =
-        linearTransform(raised, coeffToSlot_, 0, params_.ltMode);
+    // 2. CoeffToSlot (slots in bit-reversed order), then split the
+    //    packed real/imag coefficient halves with a conjugation.
+    Ciphertext t = linearTransform(raised, 0, params_.ltMode);
     Ciphertext tc = eval_.conjugate(t, galois_);
     Ciphertext u = eval_.add(t, tc);        // slots: 2*x1 (x = m+q0 k)
-    Ciphertext vr = eval_.sub(t, tc);       // slots: 2i*x2
-    Ciphertext v = mulConst(vr, Complex(0, -1)); // slots: 2*x2
-    eval_.levelDrop(u, v.level());
+    Ciphertext v = mulI(eval_.sub(tc, t));  // slots: i * -2i*x2 = 2*x2
 
     // Reinterpret scales so slots read as x/(K*q0) in [-1, 1].
     const double s_norm = 2.0 * params_.k * q0 * (t.scale / d_app);
     u.scale = s_norm;
     v.scale = s_norm;
 
-    // 3. EvalMod on both halves: slots become ~ m/q0.
-    auto [eu, ev] = evalChebyshev(u, v);
+    // 3. EvalMod on both halves: slots become sin(2 pi x / q0).
+    auto [eu, ev] = evalMod(u, v);
 
-    // 4. Recombine w = eu + i*ev, then SlotToCoeff.
-    Ciphertext evi = mulConst(ev, Complex(0, 1));
+    // 4. Recombine w = eu + i*ev, reading sin/(2 pi) ~ m/q0, then
+    //    SlotToCoeff (which consumes the bit-reversed order).
+    Ciphertext evi = mulI(ev);
     alignPair(eu, evi);
     Ciphertext w = eval_.add(eu, evi);
-    Ciphertext out = linearTransform(w, slotToCoeff_, 1, params_.ltMode);
+    w.scale *= 2.0 * M_PI;
+    Ciphertext out = linearTransform(w, 1, params_.ltMode);
 
     // Slots now hold z(m)/q0; re-declare the scale so they read as
     // z(m)/d_app, the original message.
     out.scale = out.scale * d_app / q0;
-    depthUsed_ = l_top - out.level();
+    CL_ASSERT(l_top - out.level() == depthUsed_, "bootstrap consumed ",
+              l_top - out.level(), " levels, the shape predicts ",
+              depthUsed_);
     return out;
 }
 

@@ -4,24 +4,28 @@
  * computation unbounded (Sec 2.3, Fig 2), and the computation the
  * paper's deep benchmarks revolve around.
  *
- * Pipeline (the packed algorithm of [11, 14, 53] that Sec 6 tunes):
+ * Pipeline (the packed algorithm of [11, 14, 53] that Sec 6 tunes,
+ * in the default BootstrapShape, whose stage counts the accelerator
+ * model HomBuilder::bootstrap shares):
  *
  *  1. ModRaise: lift the exhausted ciphertext to the top of the
  *     modulus chain. Decryption becomes m + q0*k for a small integer
  *     polynomial k (bounded by the secret's Hamming weight).
  *  2. CoeffToSlot: homomorphically apply the inverse canonical
- *     embedding so the coefficients of m + q0*k appear in slots
- *     (one BSGS linear transform; its matrix is derived numerically
- *     from the encoder's own special FFT, so it matches the slot
- *     ordering by construction).
- *  3. EvalMod: remove the q0*k term by evaluating
- *     (1/2pi) sin(2pi x / q0) via a Chebyshev polynomial, using a
- *     depth-logarithmic Paterson-Stockmeyer evaluation in the
- *     Chebyshev basis.
- *  4. SlotToCoeff: apply the forward embedding to return the cleaned
- *     coefficients to their places.
+ *     embedding so the coefficients of m + q0*k appear in slots. The
+ *     encoder's own inverse special FFT is factored into ctsStages
+ *     sparse stages (groups of its butterfly levels, one level of the
+ *     chain each); its final bit reversal is never evaluated, so the
+ *     coefficients land in bit-reversed slot order.
+ *  3. EvalMod: remove the q0*k term slot by slot: a Chebyshev
+ *     approximation of cos((2 pi K u - pi/2) / 2^r), evaluated by a
+ *     depth-logarithmic Paterson-Stockmeyer recursion, then r
+ *     double-angle steps y <- 2y^2 - 1, which read sin(2 pi K u).
+ *  4. SlotToCoeff: the forward special FFT without its initial bit
+ *     reversal, in stcStages stages. It consumes the bit-reversed
+ *     order CoeffToSlot left, so the two reversals cancel.
  *
- * Independent homomorphic ops — the BSGS baby and giant steps, the
+ * Independent homomorphic ops — the rotations of each DFT stage, the
  * two EvalMod halves and their Chebyshev power bases, the diagonal
  * encodings — run concurrently on the global ThreadPool, each task
  * writing only its own slot, so the output bytes are the same at any
@@ -36,33 +40,34 @@
 #define CL_CKKS_BOOTSTRAP_H
 
 #include <array>
-#include <atomic>
 #include <functional>
 #include <map>
 #include <mutex>
+#include <tuple>
 #include <vector>
 
 #include "ckks/encryptor.h"
 #include "ckks/evaluator.h"
+#include "util/bootshape.h"
 
 namespace cl {
 
 /**
- * How the BSGS linear transforms execute:
+ * How the DFT stages' linear transforms execute:
  *
- *  - Naive: every baby-step rotation is an independent keyswitch
+ *  - Naive: every rotation is an independent keyswitch
  *    (digit lift + mod-up + inner product + mod-down per rotation) —
  *    the pre-hoisting behavior, kept as the correctness and
  *    performance baseline.
- *  - HoistedEager: one shared digit decompose for all baby rotations;
+ *  - HoistedEager: one shared digit decompose for all rotations;
  *    each rotation still mods down immediately. Bit-identical to
  *    Naive (a single rotation computes exactly these stages).
  *  - HoistedLazy: shared decompose plus lazy accumulation — the
  *    per-rotation inner products stay in the extended basis and each
- *    giant step performs a single mod-down per ciphertext component.
+ *    stage performs a single mod-down per ciphertext component.
  *    Same message, different (smaller) rounding noise: the mod-down's
- *    base-conversion rounding is applied once per giant step instead
- *    of once per rotation, so the output is not bit-identical to
+ *    base-conversion rounding is applied once per stage instead of
+ *    once per rotation, so the output is not bit-identical to
  *    Naive (see DESIGN.md §Hoisted keyswitching).
  */
 enum class LinearTransformMode
@@ -77,138 +82,165 @@ struct BootstrapParams
     /** Range bound K: EvalMod handles |m + q0 k| < K*q0. Requires a
      *  sparse secret with Hamming weight <= ~2(K-1). */
     unsigned k = 16;
-    /** Chebyshev degree of the sine approximation. */
-    unsigned chebDegree = 159;
-    /** Baby-step count for the polynomial evaluation (power of 2). */
-    unsigned babySteps = 16;
-    /** BSGS execution strategy for CoeffToSlot/SlotToCoeff. */
+    /** Execution strategy for the CoeffToSlot/SlotToCoeff stages. */
     LinearTransformMode ltMode = LinearTransformMode::HoistedLazy;
-    /**
-     * Baby dimension n1 of the transform BSGS split (power of 2;
-     * 0 = auto). Hoisted baby rotations cost only an inner product —
-     * no digit lift, and under HoistedLazy no mod-down either — while
-     * every giant step still pays a full keyswitch plus the deferred
-     * mod-downs, so the hoisted modes want n1 well above the square
-     * split sqrt(n) that minimizes plain rotation count. Auto picks
-     * min(slots, 4*sqrt(slots)).
-     */
-    unsigned ltBabySteps = 0;
-    /** Cache encoded diagonal plaintexts per (matrix, level). Off
+    /** Cache encoded diagonal plaintexts per (stage, level). Off
      *  reproduces the historical re-encode-every-call behavior (the
      *  benchmark baseline). */
     bool cacheDiagonals = true;
 };
 
+/**
+ * One factor of a factored special FFT over n slots, stored as its
+ * nonzero diagonals: out[j] = sum_i diags[i][j] * in[(j + offsets[i])
+ * mod n]. A stage of r merged butterfly levels has at most
+ * 2^(r+1) - 1 diagonals.
+ */
+struct DftStage
+{
+    std::vector<std::size_t> offsets; ///< ascending, in [0, n)
+    std::vector<std::vector<Complex>> diags;
+};
+
+/**
+ * CoeffToSlot as @p stages factors, applied in order: the butterfly
+ * levels of fftSpecialInv (len = n down to 2) without its final bit
+ * reversal, grouped as evenly as possible (earlier stages take the
+ * extra levels), with the 1/n scaling folded into stage 0. Their
+ * product is bitReverse ∘ fftSpecialInv.
+ */
+std::vector<DftStage> coeffToSlotStages(const CkksEncoder &encoder,
+                                        unsigned stages);
+
+/**
+ * SlotToCoeff as @p stages factors, applied in order: the butterfly
+ * levels of fftSpecial (len = 2 up to n) without its initial bit
+ * reversal. Their product is fftSpecial ∘ bitReverse.
+ */
+std::vector<DftStage> slotToCoeffStages(const CkksEncoder &encoder,
+                                        unsigned stages);
+
+/**
+ * Chebyshev coefficients on [-1, 1] of the EvalMod cosine
+ * cos((2 pi K u - pi/2) / 2^r), r = shape.doubleAngles, at degree
+ * shape.chebDegree. After r steps y <- 2y^2 - 1 it reads sin(2 pi K u).
+ */
+std::vector<double> evalModCosine(unsigned k, const BootstrapShape &shape);
+
 class Bootstrapper
 {
   public:
     /**
-     * Precomputes the CoeffToSlot/SlotToCoeff matrices, the Chebyshev
-     * coefficients, and all rotation/relinearization keys.
+     * Builds the CoeffToSlot/SlotToCoeff stages, the EvalMod
+     * coefficients, and the relinearization, conjugation and (only the
+     * stages') rotation keys. Aborts if the chain is too short for the
+     * shape's levels.
      */
     Bootstrapper(const CkksContext &ctx, const CkksEncoder &encoder,
                  KeyGenerator &keygen, BootstrapParams params = {});
 
     /**
      * Refresh an exhausted ciphertext: input at level >= 1, output at
-     * a high level with the same (approximate) message.
+     * level l - depthUsed() with the same (approximate) message.
      */
     Ciphertext bootstrap(const Ciphertext &ct) const;
 
-    /** Levels the pipeline consumes from the top of the chain. */
+    /** Levels the pipeline consumes from the top of the chain: the
+     *  stages, the Paterson-Stockmeyer recursion and the double
+     *  angles (known from the shape at construction). */
     unsigned depthUsed() const { return depthUsed_; }
 
-    /** The two BSGS linear transforms, exposed with an explicit
-     *  execution mode for equivalence tests and benchmarks. */
+    /** The two factored transforms (all of their stages, one level
+     *  each), exposed with an explicit execution mode for equivalence
+     *  tests and benchmarks. */
     Ciphertext applyCoeffToSlot(const Ciphertext &ct,
                                 LinearTransformMode mode) const;
     Ciphertext applySlotToCoeff(const Ciphertext &ct,
                                 LinearTransformMode mode) const;
 
   private:
-    using Matrix = std::vector<std::vector<Complex>>; // row-major n x n
+    /** The shape the host runs: always the default one. */
+    static constexpr BootstrapShape kShape{};
 
     /**
-     * Encoded diagonals of one transform matrix at one level, built
-     * lazily on first use and reused across bootstrap() calls (the
-     * matrices and the levels they are applied at never change).
+     * Encoded diagonals of one stage at one level, built lazily on
+     * first use and reused across bootstrap() calls (the stages and
+     * the levels they are applied at never change). Indexed like the
+     * stage's offsets.
      * ptData: NTT form over the data basis (multiplies ciphertexts);
      * ptExt: NTT form over Q_level ∪ P (multiplies lazy ext-basis
      * accumulators; only built for HoistedLazy).
      */
     struct DiagCache
     {
-        std::vector<char> nonzero;
         std::vector<RnsPoly> ptData;
         std::vector<RnsPoly> ptExt;
         bool hasExt = false;
     };
 
-    /** Homomorphic slot-linear transform by dense matrix M (BSGS).
-     *  @p which identifies M for the diagonal cache (0 = CoeffToSlot,
-     *  1 = SlotToCoeff). */
-    Ciphertext linearTransform(const Ciphertext &ct, const Matrix &m,
-                               int which,
+    /** All stages of transform @p which (0 = CoeffToSlot,
+     *  1 = SlotToCoeff), one level each. */
+    Ciphertext linearTransform(const Ciphertext &ct, int which,
                                LinearTransformMode mode) const;
 
-    /** Diagonal plaintexts of matrix @p which at @p level (cached). */
-    const DiagCache &diagonals(const Matrix &m, int which,
-                               unsigned level, bool need_ext) const;
+    /** One stage as a hoisted linear transform: every nonzero
+     *  diagonal is a rotation of the input (one shared decompose and,
+     *  under HoistedLazy, one mod-down pair); consumes one level. */
+    Ciphertext stageTransform(const Ciphertext &ct, int which,
+                              std::size_t s,
+                              LinearTransformMode mode) const;
 
-    /** Encode all (pre-rotated) diagonals of M at @p level. */
-    DiagCache buildDiagonals(const Matrix &m, unsigned level,
+    /** Diagonal plaintexts of stage @p s of @p which at @p level
+     *  (cached). */
+    const DiagCache &diagonals(int which, std::size_t s, unsigned level,
+                               bool need_ext) const;
+
+    /** Encode all diagonals of @p st at @p level. */
+    DiagCache buildDiagonals(const DftStage &st, unsigned level,
                              bool need_ext) const;
 
-    /** Encode the ext-basis plaintexts of @p dc's nonzero diagonals
-     *  into dc.ptExt and set dc.hasExt; nonzero/ptData untouched. */
-    void addExtDiagonals(const Matrix &m, unsigned level,
+    /** Encode the ext-basis plaintexts of @p st into dc.ptExt and set
+     *  dc.hasExt; ptData untouched. */
+    void addExtDiagonals(const DftStage &st, unsigned level,
                          DiagCache &dc) const;
 
-    /** Rotation diagonal d of M, pre-rotated for giant step g. */
-    std::vector<Complex> rotatedDiagonal(const Matrix &m,
-                                         std::size_t d) const;
-
-    /** Evaluate the Chebyshev-basis polynomial at both EvalMod
-     *  halves (slots in [-1,1]); returns sum_j coeffs[j] T_j(x) for
+    /** EvalMod on both halves (slots in [-1, 1]): the Chebyshev
+     *  cosine, then the double angles; returns sin(2 pi K x) for
      *  x = u and x = v. The halves' power bases and recursions run
      *  concurrently. */
-    std::array<Ciphertext, 2> evalChebyshev(const Ciphertext &u,
-                                            const Ciphertext &v) const;
-
-    /** Align a ciphertext to (level, scale), spending spare levels. */
-    Ciphertext alignTo(const Ciphertext &ct, unsigned level,
-                       double scale) const;
+    std::array<Ciphertext, 2> evalMod(const Ciphertext &u,
+                                      const Ciphertext &v) const;
 
     /** Bring two ciphertexts to a common (level, scale) pair,
      *  spending a level of whichever operand can afford it. */
     void alignPair(Ciphertext &a, Ciphertext &b) const;
 
-    Ciphertext mulConst(const Ciphertext &ct, Complex c) const;
+    /** Multiply every slot by i: a product with the monomial
+     *  X^(N/2), exact, consuming no level and keeping the scale. */
+    Ciphertext mulI(const Ciphertext &ct) const;
 
     const CkksContext &ctx_;
     const CkksEncoder &encoder_;
     Evaluator eval_;
     BootstrapParams params_;
 
-    Matrix coeffToSlot_; // inverse special FFT
-    Matrix slotToCoeff_; // forward special FFT
+    std::array<std::vector<DftStage>, 2> transforms_;
     std::vector<double> chebCoeffs_;
     // Chebyshev indices the polynomial evaluation reads, closed under
     // the product recurrence and grouped by dependence depth.
     std::vector<std::vector<unsigned>> chebLevels_;
+    RnsPoly monomialI_; // X^(N/2) over the full chain, NTT form
     SwitchKey relin_;
     GaloisKeys galois_;
-    unsigned ltN1_ = 0; // resolved transform baby dimension
+    unsigned depthUsed_ = 0;
     // bootstrap() is const and the task-graph runtime calls it from
-    // many workers at once: the depth record is atomic (every call
-    // stores the same value) and the lazily built diagonal cache is
-    // mutex-guarded (map nodes are stable and a built entry's
-    // nonzero/ptData never move, so references handed out under the
-    // lock stay valid after it is released, whatever mode the other
-    // callers run).
-    mutable std::atomic<unsigned> depthUsed_{0};
+    // many workers at once: the lazily built diagonal cache is
+    // mutex-guarded (map nodes are stable and a built entry's ptData
+    // never move, so references handed out under the lock stay valid
+    // after it is released, whatever mode the other callers run).
     mutable std::mutex diagMutex_;
-    mutable std::map<std::pair<int, unsigned>, DiagCache> diagCache_;
+    mutable std::map<std::tuple<int, std::size_t, unsigned>, DiagCache>
+        diagCache_;
 };
 
 } // namespace cl

@@ -70,25 +70,52 @@ CkksEncoder::CkksEncoder(const CkksContext &ctx)
 }
 
 void
+CkksEncoder::fftSpecialLevel(std::vector<Complex> &vals,
+                             std::size_t len) const
+{
+    const std::size_t size = vals.size();
+    const std::size_t lenh = len >> 1;
+    const std::size_t lenq = len << 2;
+    const std::size_t gap = m_ / lenq;
+    for (std::size_t i = 0; i < size; i += len) {
+        for (std::size_t j = 0; j < lenh; ++j) {
+            const std::size_t idx = (rotGroup_[j] % lenq) * gap;
+            const Complex u = vals[i + j];
+            const Complex v = vals[i + j + lenh] * ksiPows_[idx];
+            vals[i + j] = u + v;
+            vals[i + j + lenh] = u - v;
+        }
+    }
+}
+
+void
+CkksEncoder::fftSpecialInvLevel(std::vector<Complex> &vals,
+                                std::size_t len) const
+{
+    const std::size_t size = vals.size();
+    const std::size_t lenh = len >> 1;
+    const std::size_t lenq = len << 2;
+    const std::size_t gap = m_ / lenq;
+    for (std::size_t i = 0; i < size; i += len) {
+        for (std::size_t j = 0; j < lenh; ++j) {
+            const std::size_t idx = (lenq - (rotGroup_[j] % lenq)) * gap;
+            const Complex u = vals[i + j] + vals[i + j + lenh];
+            const Complex v =
+                (vals[i + j] - vals[i + j + lenh]) * ksiPows_[idx];
+            vals[i + j] = u;
+            vals[i + j + lenh] = v;
+        }
+    }
+}
+
+void
 CkksEncoder::fftSpecial(std::vector<Complex> &vals) const
 {
     const std::size_t size = vals.size();
     CL_ASSERT(isPowerOfTwo(size) && size <= slots_);
     arrayBitReverse(vals);
-    for (std::size_t len = 2; len <= size; len <<= 1) {
-        const std::size_t lenh = len >> 1;
-        const std::size_t lenq = len << 2;
-        const std::size_t gap = m_ / lenq;
-        for (std::size_t i = 0; i < size; i += len) {
-            for (std::size_t j = 0; j < lenh; ++j) {
-                const std::size_t idx = (rotGroup_[j] % lenq) * gap;
-                const Complex u = vals[i + j];
-                const Complex v = vals[i + j + lenh] * ksiPows_[idx];
-                vals[i + j] = u + v;
-                vals[i + j + lenh] = u - v;
-            }
-        }
-    }
+    for (std::size_t len = 2; len <= size; len <<= 1)
+        fftSpecialLevel(vals, len);
 }
 
 void
@@ -96,22 +123,8 @@ CkksEncoder::fftSpecialInv(std::vector<Complex> &vals) const
 {
     const std::size_t size = vals.size();
     CL_ASSERT(isPowerOfTwo(size) && size <= slots_);
-    for (std::size_t len = size; len >= 2; len >>= 1) {
-        const std::size_t lenh = len >> 1;
-        const std::size_t lenq = len << 2;
-        const std::size_t gap = m_ / lenq;
-        for (std::size_t i = 0; i < size; i += len) {
-            for (std::size_t j = 0; j < lenh; ++j) {
-                const std::size_t idx =
-                    (lenq - (rotGroup_[j] % lenq)) * gap;
-                const Complex u = vals[i + j] + vals[i + j + lenh];
-                const Complex v =
-                    (vals[i + j] - vals[i + j + lenh]) * ksiPows_[idx];
-                vals[i + j] = u;
-                vals[i + j + lenh] = v;
-            }
-        }
-    }
+    for (std::size_t len = size; len >= 2; len >>= 1)
+        fftSpecialInvLevel(vals, len);
     arrayBitReverse(vals);
     const double inv = 1.0 / static_cast<double>(size);
     for (auto &v : vals)

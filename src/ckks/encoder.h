@@ -53,6 +53,22 @@ class CkksEncoder
     void fftSpecialInv(std::vector<Complex> &vals) const;
 
     /**
+     * One butterfly level (block length @p len, pairs at distance
+     * len/2) of fftSpecial. fftSpecial is a bit reversal followed by
+     * these levels for len = 2, 4, ..., size; bootstrapping groups
+     * them into the SlotToCoeff stages.
+     */
+    void fftSpecialLevel(std::vector<Complex> &vals, std::size_t len) const;
+
+    /**
+     * One butterfly level of fftSpecialInv, which runs these levels
+     * for len = size, ..., 4, 2, then a bit reversal and a 1/size
+     * scaling; bootstrapping groups them into the CoeffToSlot stages.
+     */
+    void fftSpecialInvLevel(std::vector<Complex> &vals,
+                            std::size_t len) const;
+
+    /**
      * Encode raw (already real) polynomial coefficients: each value is
      * rounded and embedded mod every modulus. Used by tests and by
      * bootstrapping's coefficient-domain plaintexts.

@@ -272,7 +272,7 @@ HomBuilder::bootLevels() const
 {
     // CtS and StC stages run at double scale (2 levels per stage);
     // EvalMod consumes its configured budget.
-    return 2 * ctsStages + 2 * stcStages + evalModLevels;
+    return 2 * shape.ctsStages + 2 * shape.stcStages + evalModLevels;
 }
 
 HomBuilder::Ct
@@ -287,7 +287,7 @@ HomBuilder::bootstrap(Ct a, const std::string &tag)
 
     // 2. CoeffToSlot: ctsStages DFT factors, each a BSGS linear
     //    transform at double scale; conjugate to split real/imag.
-    for (unsigned s = 0; s < ctsStages; ++s)
+    for (unsigned s = 0; s < shape.ctsStages; ++s)
         ct = linearTransform(ct, diagsPerStage,
                              tag + ".cts" + std::to_string(s), 2,
                              /*bsgs=*/false);
@@ -304,7 +304,7 @@ HomBuilder::bootstrap(Ct a, const std::string &tag)
     for (unsigned i = 0; i < evalModMuls; ++i) {
         const unsigned drop =
             std::min(per_mul, evalModLevels - spent);
-        if (em.level <= drop + stcStages * 2 + 1)
+        if (em.level <= drop + shape.stcStages * 2 + 1)
             break;
         Ct other = (i % 3 == 2)
                        ? mulPlain(em, tag + ".em" + std::to_string(i), 0)
@@ -314,7 +314,7 @@ HomBuilder::bootstrap(Ct a, const std::string &tag)
     }
 
     // 4. SlotToCoeff: stcStages DFT factors.
-    for (unsigned s = 0; s < stcStages; ++s)
+    for (unsigned s = 0; s < shape.stcStages; ++s)
         em = linearTransform(em, diagsPerStage,
                              tag + ".stc" + std::to_string(s), 2,
                              /*bsgs=*/false);

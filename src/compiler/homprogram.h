@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "util/bootshape.h"
 #include "util/common.h"
 
 namespace cl {
@@ -139,11 +140,11 @@ class HomBuilder
     unsigned lMax() const { return prog_.lMax; }
     std::size_t slots() const { return prog_.n() / 2; }
 
-    // Bootstrapping structure parameters (defaults follow [11]/[53]:
+    // Bootstrapping structure: the stage counts come from the shape
+    // the host Bootstrapper also runs (defaults follow [11]/[53]:
     // 4-stage CoeffToSlot / 3-stage SlotToCoeff, degree-63 Chebyshev
-    // with 2 double-angle steps).
-    unsigned ctsStages = 4;
-    unsigned stcStages = 3;
+    // with 2 double-angle steps); the rest are chip-only cost knobs.
+    BootstrapShape shape;
     unsigned diagsPerStage = 24;  ///< Matrix diagonals per DFT factor.
     unsigned evalModMuls = 30;    ///< ct-ct mults in EvalMod.
     unsigned evalModLevels = 21;  ///< Levels EvalMod consumes.

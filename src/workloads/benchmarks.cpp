@@ -39,16 +39,10 @@ namespace {
 void
 configureBootstrap(HomBuilder &b, const SecurityConfig &sec)
 {
-    if (sec.usableLevels <= 11) {
-        // Shallower chains use a cheaper (lower-precision) pipeline.
-        b.ctsStages = 4;
-        b.stcStages = 3;
-        b.evalModLevels = sec.lMax - sec.usableLevels - 14;
-    } else {
-        b.ctsStages = 4;
-        b.stcStages = 3;
-        b.evalModLevels = sec.lMax - sec.usableLevels - 14;
-    }
+    // The shape's CtS/StC stages run at double scale; EvalMod gets
+    // the rest of the bootstrap budget.
+    b.evalModLevels = sec.lMax - sec.usableLevels -
+                      2 * (b.shape.ctsStages + b.shape.stcStages);
     CL_ASSERT(b.bootLevels() == sec.lMax - sec.usableLevels,
               "bootstrap depth mismatch: ", b.bootLevels(), " vs ",
               sec.lMax - sec.usableLevels);
@@ -99,8 +93,8 @@ unpackedBootstrapping()
     // Single-slot bootstrapping (the F1 benchmark): the linear
     // transforms degenerate to a handful of rotations, EvalMod stays.
     HomBuilder b("unpacked-bootstrapping", 16, 23, digitPolicy80());
-    b.ctsStages = 1;
-    b.stcStages = 1;
+    b.shape.ctsStages = 1;
+    b.shape.stcStages = 1;
     b.diagsPerStage = 2;
     b.evalModMuls = 8;
     b.evalModLevels = 12;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -149,14 +150,85 @@ TEST_F(BootstrapTest, DepthUsedIsReasonable)
     EXPECT_LE(boot_->depthUsed(), 18u);
 }
 
+TEST_F(BootstrapTest, DepthIsKnownBeforeTheFirstBootstrap)
+{
+    // The depth follows from the shape: 4 CoeffToSlot stages, the
+    // degree-63 Paterson-Stockmeyer recursion (6 levels: T_32 sits 5
+    // down, plus the top product), 2 double angles, 3 SlotToCoeff
+    // stages. bootstrap() asserts that it spends exactly this.
+    const auto boot = freshBootstrapper();
+    const BootstrapShape shape;
+    EXPECT_EQ(boot->depthUsed(), shape.ctsStages + 6 + shape.doubleAngles +
+                                     shape.stcStages);
+    const Ciphertext out = boot->bootstrap(encryptAt(8, 1));
+    EXPECT_EQ(out.level(), ctx_->l() - boot->depthUsed());
+}
+
+TEST(BootstrapUnits, ChainTooShortForTheShapeIsRejected)
+{
+    // The shape needs 4 + 6 + 2 + 3 = 15 levels; an L = 12 chain can
+    // spend 11 and keep the output at level >= 1.
+    CkksParams p;
+    p.logN = 9;
+    p.l = 12;
+    p.alpha = 12;
+    p.secretHamming = 16;
+    const CkksContext ctx(p);
+    const CkksEncoder enc(ctx);
+    KeyGenerator kg(ctx);
+    EXPECT_DEATH(Bootstrapper(ctx, enc, kg),
+                 "needs 15 levels .* chain budget is 11");
+}
+
+TEST_F(BootstrapTest, PrecisionFloor)
+{
+    // The < 0.02 bound above is only ~5.6 bits. The factored pipeline
+    // measures 14.7 bits on this input at these parameters (the
+    // double angles cost ~4 bits against the old degree-159 sine);
+    // pin that minus one bit.
+    auto vals = randomReals(9, 0.5);
+    const Ciphertext out = boot_->bootstrap(
+        encryptor_->encrypt(enc_->encode(vals, appScale, 1), appScale));
+    const double bits =
+        -std::log2(maxError(vals, decryptor_->decryptValues(*enc_, out)));
+    EXPECT_GE(bits, 13.7);
+}
+
+TEST_F(BootstrapTest, HalfRingMonomialMultipliesSlotsByI)
+{
+    // EvalMod's real/imaginary split multiplies by +-i as the scale-1
+    // plaintext of +-i in every slot, which is exactly the monomial
+    // +-X^(N/2): exact, no level consumed, scale unchanged.
+    const std::size_t nh = ctx_->n() / 2;
+    const Ciphertext ct = encryptAt(10, 7);
+    const auto vals = decryptor_->decryptValues(*enc_, ct);
+    for (const double sign : {1.0, -1.0}) {
+        const RnsPoly pt = enc_->encode(
+            std::vector<Complex>(ctx_->slots(), Complex(0, sign)), 1.0,
+            ct.level());
+        const std::vector<double> coeffs = enc_->decodeCoeffs(pt, 1.0);
+        for (std::size_t j = 0; j < coeffs.size(); ++j)
+            ASSERT_EQ(coeffs[j], j == nh ? sign : 0.0) << "coeff " << j;
+
+        const Ciphertext r = eval_->mulPlain(ct, pt, 1.0);
+        EXPECT_EQ(r.level(), ct.level());
+        EXPECT_EQ(r.scale, ct.scale);
+        std::vector<Complex> expect(vals.size());
+        for (std::size_t i = 0; i < vals.size(); ++i)
+            expect[i] = Complex(0, sign) * vals[i];
+        EXPECT_LT(maxError(expect, decryptor_->decryptValues(*enc_, r)),
+                  1e-9);
+    }
+}
+
 TEST_F(BootstrapTest, BitIdenticalAcrossWorkerCounts)
 {
-    // Bootstrapping runs its baby steps, giant steps, diagonal
-    // encoding and the two EvalMod halves as concurrent tasks, each
-    // writing only its own slot: the bytes must not depend on the
-    // worker count, nor on running inside a graph worker (where every
-    // parallelFor runs inline). Each count gets a fresh Bootstrapper
-    // so the diagonal cache is also built at that count.
+    // Bootstrapping runs its stage rotations, diagonal encoding and
+    // the two EvalMod halves as concurrent tasks, each writing only its
+    // own slot: the bytes must not depend on the worker count, nor on
+    // running inside a graph worker (where every parallelFor runs
+    // inline). Each count gets a fresh Bootstrapper so the diagonal
+    // cache is also built at that count.
     const Ciphertext exhausted = encryptAt(4, 1);
     const Ciphertext top = encryptAt(5, ctx_->l());
     const Ciphertext mid = encryptAt(6, ctx_->l() / 2);
@@ -219,33 +291,107 @@ TEST_F(BootstrapTest, ConcurrentModesShareTheDiagonalCache)
 
 TEST(BootstrapUnits, ChebyshevFitApproximatesSine)
 {
-    // Numerical check of the EvalMod polynomial machinery: evaluate
-    // the fitted series directly (Clenshaw) against sin.
-    const unsigned k = 16, degree = 159;
+    // The EvalMod polynomial: the fitted cosine (Clenshaw) followed by
+    // the shape's double-angle squarings must read sin(2 pi K u)/(2 pi)
+    // on all of [-1, 1].
+    const unsigned k = 16;
+    const BootstrapShape shape;
+    const std::vector<double> c = evalModCosine(k, shape);
+    ASSERT_EQ(c.size(), shape.chebDegree + 1);
     const double a = 2.0 * M_PI * k;
-    // Reuse the internals indirectly: fit here with the same method.
-    const unsigned m = 4096;
-    std::vector<double> c(degree + 1, 0.0);
-    for (unsigned i = 0; i < m; ++i) {
-        const double theta = M_PI * (i + 0.5) / m;
-        const double fv = std::sin(a * std::cos(theta)) / (2 * M_PI);
-        for (unsigned j = 0; j <= degree; ++j)
-            c[j] += fv * std::cos(j * theta);
-    }
-    for (unsigned j = 0; j <= degree; ++j)
-        c[j] *= (j == 0 ? 1.0 : 2.0) / m;
-
-    for (double u = -0.9; u <= 0.9; u += 0.05) {
-        // Clenshaw evaluation.
+    for (int step = -100; step <= 100; ++step) {
+        const double u = step / 100.0;
         double b1 = 0, b2 = 0;
-        for (unsigned j = degree; j >= 1; --j) {
+        for (std::size_t j = c.size() - 1; j >= 1; --j) {
             const double b0 = c[j] + 2 * u * b1 - b2;
             b2 = b1;
             b1 = b0;
         }
-        const double val = c[0] + u * b1 - b2;
-        EXPECT_NEAR(val, std::sin(a * u) / (2 * M_PI), 1e-9)
+        double y = c[0] + u * b1 - b2;
+        for (unsigned r = 0; r < shape.doubleAngles; ++r)
+            y = 2 * y * y - 1;
+        EXPECT_NEAR(y / (2 * M_PI), std::sin(a * u) / (2 * M_PI), 1e-9)
             << "u=" << u;
+    }
+}
+
+TEST(BootstrapUnits, StagesFactorTheSpecialFft)
+{
+    // In cleartext: the CoeffToSlot stages multiply out to
+    // bitReverse ∘ fftSpecialInv and the SlotToCoeff stages to
+    // fftSpecial ∘ bitReverse, and a stage of r butterfly levels has
+    // at most 2^(r+1) - 1 diagonals.
+    CkksParams p;
+    p.logN = 9;
+    p.l = 4;
+    const CkksContext ctx(p);
+    const CkksEncoder enc(ctx);
+    const std::size_t n = enc.slots();
+    const unsigned log_n = static_cast<unsigned>(std::bit_width(n) - 1);
+
+    auto bit_reverse = [&](const std::vector<Complex> &x) {
+        std::vector<Complex> y(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            std::size_t r = 0;
+            for (unsigned b = 0; b < log_n; ++b)
+                r |= ((i >> b) & 1) << (log_n - 1 - b);
+            y[r] = x[i];
+        }
+        return y;
+    };
+    auto apply = [&](const std::vector<DftStage> &stages,
+                     std::vector<Complex> x) {
+        for (const DftStage &st : stages) {
+            std::vector<Complex> y(n, Complex(0, 0));
+            for (std::size_t i = 0; i < st.offsets.size(); ++i) {
+                for (std::size_t j = 0; j < n; ++j)
+                    y[j] += st.diags[i][j] * x[(j + st.offsets[i]) % n];
+            }
+            x = std::move(y);
+        }
+        return x;
+    };
+    auto max_diff = [](const std::vector<Complex> &a,
+                       const std::vector<Complex> &b) {
+        double m = 0;
+        for (std::size_t i = 0; i < a.size(); ++i)
+            m = std::max(m, std::abs(a[i] - b[i]));
+        return m;
+    };
+    auto check_sizes = [&](const std::vector<DftStage> &stages) {
+        const std::size_t count = stages.size();
+        for (std::size_t s = 0; s < count; ++s) {
+            const std::size_t r =
+                log_n / count + (s < log_n % count ? 1 : 0);
+            EXPECT_LE(stages[s].offsets.size(), (2u << r) - 1)
+                << "stage " << s;
+        }
+    };
+
+    const BootstrapShape shape;
+    const auto cts = coeffToSlotStages(enc, shape.ctsStages);
+    const auto stc = slotToCoeffStages(enc, shape.stcStages);
+    ASSERT_EQ(cts.size(), shape.ctsStages);
+    ASSERT_EQ(stc.size(), shape.stcStages);
+    check_sizes(cts);
+    check_sizes(stc);
+
+    FastRng rng(11);
+    for (int trial = 0; trial < 3; ++trial) {
+        std::vector<Complex> x(n);
+        for (auto &z : x)
+            z = Complex(rng.nextDouble() - 0.5, rng.nextDouble() - 0.5);
+
+        std::vector<Complex> inv = x;
+        enc.fftSpecialInv(inv);
+        EXPECT_LT(max_diff(apply(cts, x), bit_reverse(inv)), 1e-12);
+
+        std::vector<Complex> fwd = bit_reverse(x);
+        enc.fftSpecial(fwd);
+        EXPECT_LT(max_diff(apply(stc, x), fwd), 1e-12);
+
+        // The reversals cancel: StC after CtS is the identity.
+        EXPECT_LT(max_diff(apply(stc, apply(cts, x)), x), 1e-12);
     }
 }
 

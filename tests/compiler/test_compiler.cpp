@@ -53,7 +53,7 @@ TEST(HomBuilder, BootstrapRestoresBudget)
     auto a = b.input(3);
     auto r = b.bootstrap(a);
     EXPECT_GT(r.level, 15u);
-    EXPECT_LE(r.level, 57u - b.bootLevels() + b.stcStages * 2 + 4);
+    EXPECT_LE(r.level, 57u - b.bootLevels() + b.shape.stcStages * 2 + 4);
     // The graph contains ModRaise, rotations, and multiplies.
     const HomProgram p = b.program();
     EXPECT_EQ(p.countKind(HomOpKind::ModRaise), 1u);
