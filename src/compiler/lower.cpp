@@ -1,13 +1,43 @@
 #include "lower.h"
 
 #include <algorithm>
-#include <map>
+#include <string_view>
+#include <unordered_map>
 
 namespace cl {
+
+namespace {
+
+constexpr std::uint32_t noValue = std::uint32_t(-1);
+
+/** Value ids keyed by (interned identity, small integer), each row
+ *  grown on demand. */
+class DenseCache
+{
+  public:
+    explicit DenseCache(std::size_t ids) : rows_(ids) {}
+
+    std::uint32_t &
+    at(std::uint32_t id, unsigned sub)
+    {
+        std::vector<std::uint32_t> &row = rows_[id];
+        if (row.size() <= sub)
+            row.resize(sub + 1, noValue);
+        return row[sub];
+    }
+
+  private:
+    std::vector<std::vector<std::uint32_t>> rows_;
+};
+
+} // namespace
 
 Program
 Lowering::lower(const HomProgram &hp)
 {
+    stats_ = LowerStats{};
+    schedStats_ = ScheduleStats{};
+
     Program prog;
     prog.name = hp.name;
     prog.n = hp.n();
@@ -18,22 +48,78 @@ Lowering::lower(const HomProgram &hp)
         static_cast<std::uint64_t>(n) * logn / 2;
 
     // Map from hom-op id to the value holding its result ciphertext.
-    std::vector<std::uint32_t> valueOf(hp.ops.size(),
-                                       std::uint32_t(-1));
-    // Reusable operands.
-    std::map<std::string, std::uint32_t> kshCache;
-    std::map<std::string, std::uint32_t> plainCache;
+    std::vector<std::uint32_t> valueOf(hp.ops.size(), noValue);
 
-    // Hints are generated once per key at the highest level the key
-    // is used at; lower-level keyswitches read a slice.
-    std::map<std::string, unsigned> kshMaxLevel;
-    for (const HomOp &op : hp.ops) {
-        if (!op.keyId.empty()) {
-            auto [it, fresh] = kshMaxLevel.emplace(op.keyId, op.level);
-            if (!fresh)
-                it->second = std::max(it->second, op.level);
+    // One pass over the ops before emitting anything:
+    //  - intern each distinct hint and plaintext identity to a dense
+    //    index (per op id), so the operand caches below are keyed by
+    //    integers. Hints are generated once per key at the highest
+    //    level the key is used at; lower-level keyswitches read a
+    //    slice.
+    //  - bound the instructions and values each op emits, so the
+    //    program's arrays are allocated once instead of regrown
+    //    (reserved capacity is never touched, so it costs no memory).
+    std::vector<std::uint32_t> keyOf(hp.ops.size(), noValue);
+    std::vector<std::uint32_t> plainOf(hp.ops.size(), noValue);
+    std::vector<unsigned> kshMaxLevel;
+    std::unordered_map<std::string_view, std::uint32_t> plains;
+    {
+        std::unordered_map<std::string_view, std::uint32_t> keys;
+        // A keyswitch emits mod-up (1, or up to 3 stages unchained),
+        // the hint MAC and mod-down; plus raised and acc values and
+        // possibly its hint.
+        const std::size_t ksw_insts =
+            cfg_.hasCrb && cfg_.hasChaining ? 3 : 5;
+        std::size_t insts = 0, values = 0;
+        for (const HomOp &op : hp.ops) {
+            if (!op.keyId.empty()) {
+                const auto [it, fresh] = keys.try_emplace(
+                    op.keyId, static_cast<std::uint32_t>(keys.size()));
+                if (fresh)
+                    kshMaxLevel.push_back(op.level);
+                else
+                    kshMaxLevel[it->second] =
+                        std::max(kshMaxLevel[it->second], op.level);
+                keyOf[op.id] = it->second;
+                insts += ksw_insts;
+                values += 3;
+            }
+            if (!op.plainId.empty()) {
+                plainOf[op.id] =
+                    plains
+                        .try_emplace(op.plainId,
+                                     static_cast<std::uint32_t>(
+                                         plains.size()))
+                        .first->second;
+                ++values;
+            }
+            // The op's own instructions and result values.
+            switch (op.kind) {
+              case HomOpKind::Input:
+                values += 1;
+                break;
+              case HomOpKind::Mul: // tensor, relin, rescaled out
+                insts += 2;
+                values += 3;
+                break;
+              case HomOpKind::Rotate: // automorphism, rotated, out
+              case HomOpKind::Conjugate:
+                insts += 1;
+                values += 2;
+                break;
+              default:
+                insts += 1;
+                values += 1;
+                break;
+            }
         }
+        prog.insts.reserve(insts);
+        prog.values.reserve(values);
     }
+    // Reusable operands: hints by (key, digit count), plaintexts by
+    // (identity, level).
+    DenseCache kshCache(kshMaxLevel.size());
+    DenseCache plainCache(plains.size());
 
     auto ct_words = [&](unsigned l) {
         return static_cast<std::uint64_t>(2) * l * n;
@@ -51,49 +137,56 @@ Lowering::lower(const HomProgram &hp)
                    std::min<std::uint64_t>(units, vecs)));
     };
 
-    auto get_ksh = [&](const std::string &key_id, unsigned l,
-                       unsigned t) -> std::uint32_t {
+    auto get_ksh = [&](const HomOp &op, unsigned t) -> std::uint32_t {
         // One hint per key identity *and digit count*, generated at
         // the top of the chain; lower levels read a slice of it. This
         // is what lets the compiler's ordering reuse hints on chip
         // (Sec 6). Keyswitches under the same key but a different
         // digit count need differently shaped hints — caching on the
         // key alone would silently reuse the first call's size.
-        const unsigned lk = kshMaxLevel.at(key_id);
+        const std::uint32_t key = keyOf[op.id];
+        CL_ASSERT(key != noValue, "op ", op.id,
+                  " keyswitches without a key id");
+        const unsigned lk = kshMaxLevel[key];
         const unsigned tk = std::min(t, lk);
         const unsigned a = static_cast<unsigned>(ceilDiv(lk, tk));
         const unsigned ext = lk + a;
         // lk towers in digits of a towers (the last one may be short)
         // make ceil(lk / a) digits, which can be fewer than tk.
         const unsigned dnum = static_cast<unsigned>(ceilDiv(lk, a));
-        const std::string cache_key =
-            key_id + "#d" + std::to_string(dnum);
-        auto it = kshCache.find(cache_key);
-        if (it != kshCache.end())
-            return it->second;
+        std::uint32_t &slot = kshCache.at(key, dnum);
+        if (slot != noValue)
+            return slot;
         // Full hint: dnum pairs over ext moduli. With KSHGen, only
         // the b-halves are stored/loaded (Sec 5.2).
         std::uint64_t words =
             static_cast<std::uint64_t>(2) * dnum * ext * n;
         if (cfg_.hasKshGen)
             words /= 2;
-        const std::uint32_t vid =
-            prog.addValue(ValueKind::KeySwitchHint, words, cache_key);
-        prog.values[vid].seededHalf = cfg_.hasKshGen;
-        kshCache.emplace(cache_key, vid);
-        return vid;
+        slot = prog.addValue(ValueKind::KeySwitchHint, words);
+        Value &v = prog.values[slot];
+        v.name = op.keyId + "#d" + std::to_string(dnum);
+        v.seededHalf = cfg_.hasKshGen;
+        return slot;
     };
 
-    auto get_plain = [&](const std::string &plain_id,
-                         unsigned l) -> std::uint32_t {
-        const std::string key = plain_id + "@l" + std::to_string(l);
-        auto it = plainCache.find(key);
-        if (it != plainCache.end())
-            return it->second;
-        const std::uint32_t vid = prog.addValue(
-            ValueKind::Plaintext, static_cast<std::uint64_t>(l) * n, key);
-        plainCache.emplace(key, vid);
-        return vid;
+    auto get_plain = [&](const HomOp &op, unsigned l) -> std::uint32_t {
+        std::uint32_t &slot = plainCache.at(plainOf[op.id], l);
+        if (slot != noValue)
+            return slot;
+        slot = prog.addValue(ValueKind::Plaintext,
+                             static_cast<std::uint64_t>(l) * n);
+        prog.values[slot].name = op.plainId + "@l" + std::to_string(l);
+        return slot;
+    };
+
+    // An instruction of op @p hom_op's @p stage (a static string).
+    auto make_inst = [&](std::uint32_t hom_op, const char *stage) {
+        PolyInst inst;
+        inst.homOp = hom_op;
+        inst.stage = stage;
+        inst.n = n;
+        return inst;
     };
 
     // Parallelism the register file allows for unchained 3-port MACs.
@@ -101,22 +194,23 @@ Lowering::lower(const HomProgram &hp)
         1u, std::min({cfg_.mulUnits, cfg_.addUnits, cfg_.rfPorts / 3u}));
 
     /**
-     * Emit the keyswitch of a single polynomial (l towers) under the
-     * given hint, fused with a final combine-add into the output
-     * value. `extra_read` is the ciphertext part added in at the end
-     * (tensor product or rotated c0). Returns nothing; the result is
-     * written to `out_vid`.
+     * Emit op's keyswitch of a single polynomial (op.level towers,
+     * op.digits digits) under its hint, fused with a final combine-add
+     * into the output value. `extra_read` is the ciphertext part added
+     * in at the end (tensor product or rotated c0). Returns nothing;
+     * the result is written to `out_vid`.
      */
-    auto emit_keyswitch = [&](std::uint32_t in_vid, unsigned l, unsigned t,
-                              const std::string &key_id,
+    auto emit_keyswitch = [&](const HomOp &op, std::uint32_t in_vid,
                               std::uint32_t extra_read,
-                              std::uint32_t out_vid,
-                              const std::string &tag) {
+                              std::uint32_t out_vid) {
+        const std::uint32_t hom_op = op.id;
+        const unsigned l = op.level;
+        const unsigned t = op.digits;
         ++stats_.keyswitches;
         const unsigned a = static_cast<unsigned>(ceilDiv(l, t));
         const unsigned dnum = static_cast<unsigned>(ceilDiv(l, a));
         const unsigned ext = l + a;
-        const std::uint32_t ksh = get_ksh(key_id, l, t);
+        const std::uint32_t ksh = get_ksh(op, t);
 
         // --- Mod-up: INTT l, change base per digit, NTT the raised
         //     residues (Listing 1, lines 2-4). ---
@@ -135,12 +229,10 @@ Lowering::lower(const HomProgram &hp)
 
         const std::uint32_t raised = prog.addValue(
             ValueKind::Intermediate,
-            static_cast<std::uint64_t>(dnum) * ext * n, tag + ".raised");
+            static_cast<std::uint64_t>(dnum) * ext * n, "raised", hom_op);
 
         if (cfg_.hasCrb && cfg_.hasChaining) {
-            PolyInst mu;
-            mu.mnemonic = tag + ".ksw.modup";
-            mu.n = n;
+            PolyInst mu = make_inst(hom_op, "ksw.modup");
             const unsigned nu = par(cfg_.nttUnits, ntt_mu);
             mu.fus = {{FuType::Ntt, nu, ntt_mu * bflyPerVec},
                       {FuType::Crb, 1, crb_macs * n}};
@@ -157,9 +249,7 @@ Lowering::lower(const HomProgram &hp)
             // Software change-RNS-base: the MACs flow through the
             // register file on the multiply/add units, throttled by
             // ports — the bottleneck the CRB removes (Sec 3, Sec 5.1).
-            PolyInst intt;
-            intt.mnemonic = tag + ".ksw.modup.intt";
-            intt.n = n;
+            PolyInst intt = make_inst(hom_op, "ksw.modup.intt");
             const unsigned niu = par(cfg_.nttUnits, l);
             intt.fus = {{FuType::Ntt, niu,
                          static_cast<std::uint64_t>(l) * bflyPerVec}};
@@ -174,9 +264,7 @@ Lowering::lower(const HomProgram &hp)
             if (crb_macs > 0) {
                 // Standard keyswitching (single-prime digits) lifts
                 // by broadcast and skips this stage entirely.
-                PolyInst mac;
-                mac.mnemonic = tag + ".ksw.modup.macs";
-                mac.n = n;
+                PolyInst mac = make_inst(hom_op, "ksw.modup.macs");
                 mac.fus = {{FuType::Multiply, sw_par, crb_macs * n},
                            {FuType::Add, sw_par, crb_macs * n}};
                 mac.reads = {raised};
@@ -187,9 +275,7 @@ Lowering::lower(const HomProgram &hp)
                 prog.addInst(std::move(mac));
             }
 
-            PolyInst ntt;
-            ntt.mnemonic = tag + ".ksw.modup.ntt";
-            ntt.n = n;
+            PolyInst ntt = make_inst(hom_op, "ksw.modup.ntt");
             const std::uint64_t ntt_out = ntt_mu - l;
             const unsigned nou = par(cfg_.nttUnits, ntt_out);
             ntt.fus = {{FuType::Ntt, nou, ntt_out * bflyPerVec}};
@@ -211,12 +297,10 @@ Lowering::lower(const HomProgram &hp)
 
         const std::uint32_t acc = prog.addValue(
             ValueKind::Intermediate,
-            static_cast<std::uint64_t>(2) * ext * n, tag + ".acc");
+            static_cast<std::uint64_t>(2) * ext * n, "acc", hom_op);
 
         {
-            PolyInst mac;
-            mac.mnemonic = tag + ".ksw.mac";
-            mac.n = n;
+            PolyInst mac = make_inst(hom_op, "ksw.mac");
             const bool chained = cfg_.hasChaining;
             const unsigned want =
                 chained ? 2u
@@ -256,9 +340,7 @@ Lowering::lower(const HomProgram &hp)
         stats_.addVectors += 4ull * l; // subtract + combine
 
         {
-            PolyInst md;
-            md.mnemonic = tag + ".ksw.moddown";
-            md.n = n;
+            PolyInst md = make_inst(hom_op, "ksw.moddown");
             const unsigned nmu = par(cfg_.nttUnits, ntt_md);
             if (cfg_.hasCrb && cfg_.hasChaining) {
                 // Clamp the scale/combine stages to the pools and let
@@ -290,7 +372,7 @@ Lowering::lower(const HomProgram &hp)
                 md.rfPorts = clamp_ports(3 * sw_par);
             }
             md.reads = {acc};
-            if (extra_read != std::uint32_t(-1))
+            if (extra_read != noValue)
                 md.reads.push_back(extra_read);
             md.writes = {out_vid};
             md.networkWords = ntt_md * n;
@@ -299,16 +381,52 @@ Lowering::lower(const HomProgram &hp)
         }
     };
 
+    /**
+     * Emit op's rescale from op.level to op.outLevel towers: INTT the
+     * dropped towers, correct and NTT back into the remaining ones.
+     * Returns the value holding the rescaled ciphertext.
+     */
+    auto emit_rescale = [&](const HomOp &op,
+                            std::uint32_t in_vid) -> std::uint32_t {
+        const unsigned l = op.level;
+        const unsigned lo = op.outLevel;
+        const std::uint64_t ntt_rs = 2ull * (l - lo) + 2ull * lo;
+        const std::uint32_t out = prog.addValue(
+            ValueKind::Intermediate, ct_words(lo), "out", op.id);
+        PolyInst rs = make_inst(op.id, "rescale");
+        const unsigned rsu = par(cfg_.nttUnits, ntt_rs);
+        const unsigned rmu = par(cfg_.mulUnits, 2ull * lo);
+        const unsigned rau = par(cfg_.addUnits, 2ull * lo);
+        rs.fus = {{FuType::Ntt, rsu, ntt_rs * bflyPerVec},
+                  {FuType::Multiply, rmu, 2ull * lo * n},
+                  {FuType::Add, rau, 2ull * lo * n}};
+        rs.reads = {in_vid};
+        rs.writes = {out};
+        // Slowest stage of the chain, each divided by the units it
+        // actually acquired.
+        rs.duration = std::max<std::uint64_t>({ceilDiv(ntt_rs, rsu),
+                                               ceilDiv(2ull * lo, rmu),
+                                               ceilDiv(2ull * lo, rau)}) *
+                      vc;
+        rs.networkWords = ntt_rs * n;
+        rs.rfPorts = clamp_ports(3);
+        rs.rfWords = (2ull * l + 2ull * lo) * n;
+        stats_.nttVectors += ntt_rs;
+        stats_.mulVectors += 2ull * lo;
+        stats_.addVectors += 2ull * lo;
+        prog.addInst(std::move(rs));
+        return out;
+    };
+
     // ------------------------------------------------------------------
     for (const HomOp &op : hp.ops) {
         const unsigned l = op.level;
         const unsigned lo = op.outLevel;
-        const std::string tag = "op" + std::to_string(op.id);
 
         switch (op.kind) {
           case HomOpKind::Input: {
             valueOf[op.id] =
-                prog.addValue(ValueKind::Input, ct_words(l), tag + ".in");
+                prog.addValue(ValueKind::Input, ct_words(l), "in", op.id);
             break;
           }
           case HomOpKind::Output: {
@@ -316,10 +434,8 @@ Lowering::lower(const HomProgram &hp)
             // Copy into an output-class value so the store is
             // accounted (and the source may still be consumed).
             const std::uint32_t out = prog.addValue(
-                ValueKind::Output, ct_words(l), tag + ".out");
-            PolyInst cp;
-            cp.mnemonic = tag + ".store";
-            cp.n = n;
+                ValueKind::Output, ct_words(l), "out", op.id);
+            PolyInst cp = make_inst(op.id, "store");
             cp.fus = {{FuType::Add, 1, ct_words(l)}};
             cp.reads = {src};
             cp.writes = {out};
@@ -332,10 +448,8 @@ Lowering::lower(const HomProgram &hp)
           }
           case HomOpKind::Add: {
             const std::uint32_t out = prog.addValue(
-                ValueKind::Intermediate, ct_words(l), tag + ".sum");
-            PolyInst inst;
-            inst.mnemonic = tag + ".add";
-            inst.n = n;
+                ValueKind::Intermediate, ct_words(l), "sum", op.id);
+            PolyInst inst = make_inst(op.id, "add");
             const unsigned apu = par(cfg_.addUnits, 2ull * l);
             inst.fus = {{FuType::Add, apu, ct_words(l)}};
             inst.reads = {valueOf[op.args[0]], valueOf[op.args[1]]};
@@ -350,14 +464,12 @@ Lowering::lower(const HomProgram &hp)
           }
           case HomOpKind::AddPlain: {
             const std::uint32_t out = prog.addValue(
-                ValueKind::Intermediate, ct_words(l), tag + ".sum");
-            PolyInst inst;
-            inst.mnemonic = tag + ".addp";
-            inst.n = n;
+                ValueKind::Intermediate, ct_words(l), "sum", op.id);
+            PolyInst inst = make_inst(op.id, "addp");
             inst.fus = {{FuType::Add, 1, static_cast<std::uint64_t>(l) *
                                              n}};
             inst.reads = {valueOf[op.args[0]],
-                          get_plain(op.plainId, l)};
+                          get_plain(op, l)};
             inst.writes = {out};
             inst.duration = static_cast<std::uint64_t>(l) * vc;
             inst.rfPorts = clamp_ports(3);
@@ -370,10 +482,8 @@ Lowering::lower(const HomProgram &hp)
           case HomOpKind::MulPlain: {
             const unsigned drop = l - lo;
             const std::uint32_t out = prog.addValue(
-                ValueKind::Intermediate, ct_words(lo), tag + ".prod");
-            PolyInst inst;
-            inst.mnemonic = tag + ".mulp";
-            inst.n = n;
+                ValueKind::Intermediate, ct_words(lo), "prod", op.id);
+            PolyInst inst = make_inst(op.id, "mulp");
             const std::uint64_t mul_vecs = 2ull * l;
             std::uint64_t ntt_vecs = 0;
             const unsigned mpu = par(cfg_.mulUnits, mul_vecs);
@@ -391,7 +501,7 @@ Lowering::lower(const HomProgram &hp)
                 inst.fus.push_back({FuType::Add, apu, 2ull * lo * n});
                 inst.networkWords = ntt_vecs * n;
             }
-            inst.reads = {valueOf[op.args[0]], get_plain(op.plainId, l)};
+            inst.reads = {valueOf[op.args[0]], get_plain(op, l)};
             inst.writes = {out};
             // Every stage's latency divides by the units it acquired;
             // the correction adds can bound the pass on few-adder
@@ -405,6 +515,8 @@ Lowering::lower(const HomProgram &hp)
             inst.rfWords = (3ull * l + 2ull * lo) * n;
             stats_.mulVectors += mul_vecs;
             stats_.nttVectors += ntt_vecs;
+            if (drop > 0)
+                stats_.addVectors += 2ull * lo;
             prog.addInst(std::move(inst));
             valueOf[op.id] = out;
             break;
@@ -415,10 +527,8 @@ Lowering::lower(const HomProgram &hp)
             const std::uint32_t vb = valueOf[op.args[1]];
             // Tensor product: t2 = a1*b1 switched; (t0, t1) combined.
             const std::uint32_t tensor = prog.addValue(
-                ValueKind::Intermediate, 3ull * l * n, tag + ".tensor");
-            PolyInst tp;
-            tp.mnemonic = tag + ".tensor";
-            tp.n = n;
+                ValueKind::Intermediate, 3ull * l * n, "tensor", op.id);
+            PolyInst tp = make_inst(op.id, "tensor");
             const std::uint64_t tmuls = 4ull * l;
             const unsigned tpu = par(cfg_.mulUnits, tmuls);
             const unsigned tau =
@@ -442,9 +552,8 @@ Lowering::lower(const HomProgram &hp)
 
             // Relinearize t2 and fold the combine into mod-down.
             const std::uint32_t ks = prog.addValue(
-                ValueKind::Intermediate, ct_words(l), tag + ".relin");
-            emit_keyswitch(tensor, l, op.digits, op.keyId, tensor, ks,
-                           tag);
+                ValueKind::Intermediate, ct_words(l), "relin", op.id);
+            emit_keyswitch(op, tensor, tensor, ks);
 
             // A lazy multiply (drop == 0) keeps its level: there is no
             // tower to strip, so emitting the rescale instruction
@@ -455,46 +564,15 @@ Lowering::lower(const HomProgram &hp)
                 break;
             }
 
-            // Rescale to the output level.
-            const std::uint32_t out = prog.addValue(
-                ValueKind::Intermediate, ct_words(lo), tag + ".out");
-            PolyInst rs;
-            rs.mnemonic = tag + ".rescale";
-            rs.n = n;
-            const std::uint64_t ntt_rs = 2ull * drop + 2ull * lo;
-            const unsigned rsu = par(cfg_.nttUnits, ntt_rs);
-            const unsigned rmu = par(cfg_.mulUnits, 2ull * lo);
-            const unsigned rau = par(cfg_.addUnits, 2ull * lo);
-            rs.fus = {{FuType::Ntt, rsu, ntt_rs * bflyPerVec},
-                      {FuType::Multiply, rmu, 2ull * lo * n},
-                      {FuType::Add, rau, 2ull * lo * n}};
-            rs.reads = {ks};
-            rs.writes = {out};
-            // Slowest stage of the chain, each divided by the units it
-            // actually acquired.
-            rs.duration =
-                std::max<std::uint64_t>({ceilDiv(ntt_rs, rsu),
-                                         ceilDiv(2ull * lo, rmu),
-                                         ceilDiv(2ull * lo, rau)}) *
-                vc;
-            rs.networkWords = ntt_rs * n;
-            rs.rfPorts = clamp_ports(3);
-            rs.rfWords = (2ull * l + 2ull * lo) * n;
-            stats_.nttVectors += ntt_rs;
-            stats_.mulVectors += 2ull * lo;
-            stats_.addVectors += 2ull * lo;
-            prog.addInst(std::move(rs));
-            valueOf[op.id] = out;
+            valueOf[op.id] = emit_rescale(op, ks);
             break;
           }
           case HomOpKind::Rotate:
           case HomOpKind::Conjugate: {
             const std::uint32_t src = valueOf[op.args[0]];
             const std::uint32_t rot = prog.addValue(
-                ValueKind::Intermediate, ct_words(l), tag + ".rot");
-            PolyInst au;
-            au.mnemonic = tag + ".auto";
-            au.n = n;
+                ValueKind::Intermediate, ct_words(l), "rot", op.id);
+            PolyInst au = make_inst(op.id, "auto");
             au.fus = {{FuType::Automorphism, 1, ct_words(l)}};
             au.reads = {src};
             au.writes = {rot};
@@ -505,46 +583,19 @@ Lowering::lower(const HomProgram &hp)
             prog.addInst(std::move(au));
 
             const std::uint32_t out = prog.addValue(
-                ValueKind::Intermediate, ct_words(l), tag + ".out");
-            emit_keyswitch(rot, l, op.digits, op.keyId, rot, out, tag);
+                ValueKind::Intermediate, ct_words(l), "out", op.id);
+            emit_keyswitch(op, rot, rot, out);
             valueOf[op.id] = out;
             break;
           }
           case HomOpKind::Rescale: {
-            const unsigned drop = l - lo;
-            const std::uint32_t out = prog.addValue(
-                ValueKind::Intermediate, ct_words(lo), tag + ".out");
-            PolyInst rs;
-            rs.mnemonic = tag + ".rescale";
-            rs.n = n;
-            const std::uint64_t ntt_rs = 2ull * drop + 2ull * lo;
-            const unsigned rsu = par(cfg_.nttUnits, ntt_rs);
-            const unsigned rmu = par(cfg_.mulUnits, 2ull * lo);
-            const unsigned rau = par(cfg_.addUnits, 2ull * lo);
-            rs.fus = {{FuType::Ntt, rsu, ntt_rs * bflyPerVec},
-                      {FuType::Multiply, rmu, 2ull * lo * n},
-                      {FuType::Add, rau, 2ull * lo * n}};
-            rs.reads = {valueOf[op.args[0]]};
-            rs.writes = {out};
-            // Same acquired-unit bounds as the keyswitch rescale.
-            rs.duration =
-                std::max<std::uint64_t>({ceilDiv(ntt_rs, rsu),
-                                         ceilDiv(2ull * lo, rmu),
-                                         ceilDiv(2ull * lo, rau)}) *
-                vc;
-            rs.networkWords = ntt_rs * n;
-            rs.rfPorts = clamp_ports(3);
-            rs.rfWords = (2ull * l + 2ull * lo) * n;
-            prog.addInst(std::move(rs));
-            valueOf[op.id] = out;
+            valueOf[op.id] = emit_rescale(op, valueOf[op.args[0]]);
             break;
           }
           case HomOpKind::LevelDrop: {
             const std::uint32_t out = prog.addValue(
-                ValueKind::Intermediate, ct_words(lo), tag + ".out");
-            PolyInst cp;
-            cp.mnemonic = tag + ".leveldrop";
-            cp.n = n;
+                ValueKind::Intermediate, ct_words(lo), "out", op.id);
+            PolyInst cp = make_inst(op.id, "leveldrop");
             cp.fus = {{FuType::Add, 1, ct_words(lo)}};
             cp.reads = {valueOf[op.args[0]]};
             cp.writes = {out};
@@ -559,10 +610,8 @@ Lowering::lower(const HomProgram &hp)
             // Raise both polynomials from l to lo (> l) towers:
             // INTT, change base, NTT everything back up.
             const std::uint32_t out = prog.addValue(
-                ValueKind::Intermediate, ct_words(lo), tag + ".raised");
-            PolyInst mr;
-            mr.mnemonic = tag + ".modraise";
-            mr.n = n;
+                ValueKind::Intermediate, ct_words(lo), "raised", op.id);
+            PolyInst mr = make_inst(op.id, "modraise");
             const std::uint64_t ntt_vecs =
                 2ull * l + 2ull * lo; // INTT in + NTT out
             const std::uint64_t macs =

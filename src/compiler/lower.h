@@ -28,6 +28,8 @@ struct LowerStats
     std::uint64_t mulVectors = 0;  ///< Element-wise multiply count.
     std::uint64_t addVectors = 0;
     std::uint64_t crbMacVectors = 0;
+
+    bool operator==(const LowerStats &) const = default;
 };
 
 class Lowering
@@ -44,9 +46,11 @@ class Lowering
      *  list scheduler (compiler/schedule.h). */
     Program lower(const HomProgram &hp);
 
+    /** Counts of the most recent lower() call. */
     const LowerStats &stats() const { return stats_; }
 
-    /** Filled by lower() when scheduling ran (zeros under None). */
+    /** Filled by the most recent lower() when scheduling ran (zeros
+     *  under None). */
     const ScheduleStats &scheduleStats() const { return schedStats_; }
 
   private:

@@ -183,7 +183,8 @@ residencyOrder(const Program &prog, const DepGraph &g,
     // Unique read operands per instruction.
     std::vector<std::vector<std::uint32_t>> ureads(n);
     for (std::uint32_t i = 0; i < n; ++i) {
-        ureads[i] = prog.insts[i].reads;
+        ureads[i].assign(prog.insts[i].reads.begin(),
+                         prog.insts[i].reads.end());
         std::sort(ureads[i].begin(), ureads[i].end());
         ureads[i].erase(
             std::unique(ureads[i].begin(), ureads[i].end()),

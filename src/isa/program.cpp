@@ -44,6 +44,24 @@ fuTypeName(FuType t)
     }
 }
 
+std::string
+valueName(const Value &v)
+{
+    if (!v.name.empty())
+        return v.name;
+    if (v.homOp == noHomOp)
+        return v.role;
+    return "op" + std::to_string(v.homOp) + "." + v.role;
+}
+
+std::string
+instName(const PolyInst &inst)
+{
+    if (inst.homOp == noHomOp)
+        return inst.stage;
+    return "op" + std::to_string(inst.homOp) + "." + inst.stage;
+}
+
 void
 Program::validate() const
 {
@@ -56,7 +74,7 @@ Program::validate() const
     }
     for (const auto &inst : insts) {
         for (auto r : inst.reads) {
-            CL_ASSERT(produced[r], "inst ", inst.id, " (", inst.mnemonic,
+            CL_ASSERT(produced[r], "inst ", inst.id, " (", instName(inst),
                       ") reads value ", r, " before production");
         }
         for (auto w : inst.writes) {

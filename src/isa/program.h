@@ -22,9 +22,11 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/common.h"
+#include "util/inlinevec.h"
 
 namespace cl {
 
@@ -40,6 +42,16 @@ enum class ValueKind
 
 const char *valueKindName(ValueKind k);
 
+/** homOp of a value or instruction that no homomorphic op produced
+ *  (hand-built programs). */
+constexpr std::uint32_t noHomOp = 0xffffffffu;
+
+/**
+ * Names are rendered on demand rather than stored: a value holding an
+ * op's result records the op id and a static role ("raised", "acc"),
+ * and valueName() composes "op12.raised". Only keyswitch hints and
+ * plaintexts, which no single op owns, keep a composed name.
+ */
 struct Value
 {
     std::uint32_t id = 0;
@@ -47,12 +59,19 @@ struct Value
     std::uint64_t words = 0;    ///< Footprint in hardware words.
     std::int64_t producer = -1; ///< Instruction producing it (-1: live-in).
     std::vector<std::uint32_t> consumers; ///< Instruction ids, in order.
-    std::string label;
+
+    std::uint32_t homOp = noHomOp; ///< Op whose result this holds.
+    const char *role = "";         ///< Static role within that op.
+    std::string name; ///< Hint/plaintext identity (`rot.1.t1#d1`, `w@l12`).
 
     /** For KSHs: fraction resident when KSHGen regenerates the
      *  pseudo-random half on the fly (Sec 5.2). */
     bool seededHalf = false;
 };
+
+/** The value's printed name: its hint/plaintext name, else
+ *  "op<homOp>.<role>", else the bare role for hand-built values. */
+std::string valueName(const Value &v);
 
 /** Functional-unit classes (Table 2). */
 enum class FuType : unsigned
@@ -88,12 +107,15 @@ struct FuUse
 struct PolyInst
 {
     std::uint32_t id = 0;
-    std::string mnemonic;
+    std::uint32_t homOp = noHomOp; ///< Source op id.
+    const char *stage = "";        ///< Static stage, e.g. "ksw.modup".
 
-    std::vector<FuUse> fus;
-
-    std::vector<std::uint32_t> reads;  ///< Value ids read.
-    std::vector<std::uint32_t> writes; ///< Value ids written.
+    // Inline capacities: lowering emits at most 4 FU uses (the chained
+    // mod-down: NTT, CRB, multiply, add), 2 reads and 1 write; the
+    // third read slot is for hand-built programs.
+    InlineVec<FuUse, 4> fus;
+    InlineVec<std::uint32_t, 3> reads;  ///< Value ids read.
+    InlineVec<std::uint32_t, 1> writes; ///< Value ids written.
 
     std::uint64_t duration = 1; ///< Issue-slot occupancy in cycles.
     std::size_t n = 0;          ///< Ring degree (vector length).
@@ -111,6 +133,13 @@ struct PolyInst
     std::uint64_t rfWords = 0;
 };
 
+// Copying, reordering and regrowing instruction arrays is a memcpy.
+static_assert(std::is_trivially_copyable_v<PolyInst>);
+
+/** The instruction's printed name: "op<homOp>.<stage>", or the bare
+ *  stage for hand-built instructions. */
+std::string instName(const PolyInst &inst);
+
 /** A straight-line accelerator program (FHE has no data-dependent
  *  control flow, Sec 2.1). */
 struct Program
@@ -120,14 +149,17 @@ struct Program
     std::vector<Value> values;
     std::vector<PolyInst> insts;
 
+    /** @p role must have static storage duration. */
     std::uint32_t
-    addValue(ValueKind kind, std::uint64_t words, std::string label = {})
+    addValue(ValueKind kind, std::uint64_t words, const char *role = "",
+             std::uint32_t hom_op = noHomOp)
     {
         Value v;
         v.id = static_cast<std::uint32_t>(values.size());
         v.kind = kind;
         v.words = words;
-        v.label = std::move(label);
+        v.homOp = hom_op;
+        v.role = role;
         values.push_back(std::move(v));
         return values.back().id;
     }

@@ -27,7 +27,7 @@ Simulator::run(const Program &prog, TraceSink *trace)
         if (!trace)
             return;
         const Value &v = prog.values[vid];
-        trace->onResidency({action, vid, cur_inst, v.kind, v.label,
+        trace->onResidency({action, vid, cur_inst, v.kind, valueName(v),
                             v.words, mem_start, mem_end});
     };
 
@@ -243,7 +243,7 @@ Simulator::run(const Program &prog, TraceSink *trace)
         fu_need.fill(0);
         for (const FuUse &use : inst.fus) {
             CL_ASSERT(cfg_.fuCount(use.type) > 0, "inst ", inst.id, " (",
-                      inst.mnemonic, ") needs absent FU ",
+                      instName(inst), ") needs absent FU ",
                       fuTypeName(use.type));
             fu_need[static_cast<unsigned>(use.type)] += use.units;
         }
@@ -343,14 +343,14 @@ Simulator::run(const Program &prog, TraceSink *trace)
         if (trace) {
             InstTrace t;
             t.id = inst.id;
-            t.mnemonic = inst.mnemonic;
+            t.mnemonic = instName(inst);
             t.issueReady = prev_issue;
             t.operandsAt = operands_at;
             t.start = start;
             t.finish = finish;
             t.binding = binding;
             t.bindingFu = binding_fu;
-            t.fus = inst.fus;
+            t.fus.assign(inst.fus.begin(), inst.fus.end());
             t.rfPorts = inst.rfPorts;
             t.networkWords = inst.networkWords;
             if (inst.networkWords > 0)

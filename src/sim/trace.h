@@ -67,7 +67,7 @@ const char *residencyActionName(ResidencyAction a);
 struct InstTrace
 {
     std::uint32_t id = 0;
-    std::string mnemonic;
+    std::string mnemonic;         ///< instName() of the instruction.
     std::uint64_t issueReady = 0; ///< In-order issue point.
     std::uint64_t operandsAt = 0; ///< All reads resident or streamed.
     std::uint64_t start = 0;
@@ -90,7 +90,7 @@ struct ResidencyEvent
     std::uint32_t valueId = 0;
     std::uint32_t instId = 0; ///< Instruction on whose behalf.
     ValueKind kind = ValueKind::Intermediate;
-    std::string label;
+    std::string label; ///< valueName() of the value.
     std::uint64_t words = 0;
     std::uint64_t memStart = 0; ///< Memory-channel window; equal
     std::uint64_t memEnd = 0;   ///< start/end means no transfer.

@@ -163,6 +163,80 @@ TEST(Lowering, StandardKeyswitchSkipsCrbMacs)
     EXPECT_EQ(lower.stats().crbMacVectors, 2u * 1 * 8); // mod-down only
 }
 
+TEST(Lowering, StatsDescribeOnlyTheLastProgram)
+{
+    HomBuilder ba("a", 14, 12, [](unsigned) { return 1u; });
+    auto a = ba.input(12);
+    ba.output(ba.rotate(ba.mul(a, a, 2), 1));
+    HomBuilder bb("b", 14, 12, [](unsigned) { return 1u; });
+    auto x = bb.input(12);
+    bb.output(bb.mulPlain(bb.rotate(x, 3), "w", 1));
+
+    Lowering fresh(ChipConfig::craterLake(), ScheduleMode::List);
+    fresh.lower(bb.program());
+    Lowering reused(ChipConfig::craterLake(), ScheduleMode::List);
+    reused.lower(ba.program());
+    reused.lower(bb.program());
+    EXPECT_EQ(reused.stats(), fresh.stats());
+    EXPECT_EQ(reused.stats().keyswitches, 1u);
+    EXPECT_EQ(reused.scheduleStats().depEdges,
+              fresh.scheduleStats().depEdges);
+    EXPECT_EQ(reused.scheduleStats().criticalPathCycles,
+              fresh.scheduleStats().criticalPathCycles);
+}
+
+TEST(Lowering, ExplicitRescaleCountsLikeTheFusedOne)
+{
+    // mul(a, a, 1) folds the rescale that rescale(mul(a, a, 0), 1)
+    // emits explicitly; both execute the same vectors.
+    auto stats_of = [](bool fused) {
+        HomBuilder b("t", 14, 12, [](unsigned) { return 1u; });
+        auto a = b.input(12);
+        b.output(fused ? b.mul(a, a, 1) : b.rescale(b.mul(a, a, 0), 1));
+        Lowering lower(ChipConfig::craterLake());
+        lower.lower(b.take());
+        return lower.stats();
+    };
+    const LowerStats fused = stats_of(true);
+    const LowerStats lazy = stats_of(false);
+    EXPECT_EQ(lazy, fused);
+    EXPECT_GT(lazy.nttVectors, 0u);
+}
+
+TEST(Lowering, MulPlainRescaleCountsCorrectionAdds)
+{
+    auto adds_of = [](unsigned drop) {
+        HomBuilder b("t", 14, 12);
+        b.mulPlain(b.input(12), "w", drop);
+        Lowering lower(ChipConfig::craterLake());
+        lower.lower(b.take());
+        return lower.stats().addVectors;
+    };
+    EXPECT_EQ(adds_of(0), 0u);
+    EXPECT_EQ(adds_of(1), 2u * 11); // 2 * outLevel correction adds
+}
+
+TEST(Lowering, NamesRenderOpIdAndStage)
+{
+    HomBuilder b("t", 14, 12, [](unsigned) { return 1u; });
+    auto a = b.input(12);
+    b.output(b.mulPlain(b.rotate(a, 1), "w", 1));
+    Lowering lower(ChipConfig::craterLake());
+    const Program p = lower.lower(b.take());
+    std::vector<std::string> insts, values;
+    for (const PolyInst &inst : p.insts)
+        insts.push_back(instName(inst));
+    for (const Value &v : p.values)
+        values.push_back(valueName(v));
+    EXPECT_EQ(insts, (std::vector<std::string>{
+                         "op1.auto", "op1.ksw.modup", "op1.ksw.mac",
+                         "op1.ksw.moddown", "op2.mulp", "op3.store"}));
+    EXPECT_EQ(values, (std::vector<std::string>{
+                          "op0.in", "op1.rot", "op1.out", "rot.1.t1#d1",
+                          "op1.raised", "op1.acc", "op2.prod", "w@l12",
+                          "op3.out"}));
+}
+
 namespace {
 
 /**
@@ -181,7 +255,7 @@ checkThroughputInvariant(const ChipConfig &cfg, const Program &p)
     for (const PolyInst &inst : p.insts) {
         for (const FuUse &use : inst.fus) {
             EXPECT_LE(use.units, cfg.fuCount(use.type))
-                << inst.mnemonic << " oversubscribes "
+                << instName(inst) << " oversubscribes "
                 << fuTypeName(use.type);
             std::uint64_t vecs = 0;
             switch (use.type) {
@@ -197,7 +271,7 @@ checkThroughputInvariant(const ChipConfig &cfg, const Program &p)
                 continue; // CRB/KSHGen/transpose: pipelined units
             }
             EXPECT_GE(inst.duration, ceilDiv(vecs, use.units) * vc)
-                << inst.mnemonic << " underestimates "
+                << instName(inst) << " underestimates "
                 << fuTypeName(use.type) << " (" << vecs << " vecs on "
                 << use.units << " units)";
         }
@@ -261,7 +335,7 @@ TEST(Lowering, HintMacDurationMatchesAcquiredUnits)
     const std::uint64_t vc = cfg.vectorCycles(p.n);
     bool found = false;
     for (const PolyInst &inst : p.insts) {
-        if (inst.mnemonic.find(".ksw.mac") == std::string::npos)
+        if (instName(inst).find(".ksw.mac") == std::string::npos)
             continue;
         found = true;
         std::uint64_t mac_vecs = 0;

@@ -63,7 +63,7 @@ std::string
 instKey(const PolyInst &pi)
 {
     std::ostringstream os;
-    os << pi.mnemonic << '|' << pi.n << '|' << pi.duration << '|'
+    os << instName(pi) << '|' << pi.n << '|' << pi.duration << '|'
        << pi.networkWords << '|' << pi.rfPorts << '|' << pi.rfWords;
     os << "|r";
     for (std::uint32_t v : pi.reads)

@@ -14,7 +14,7 @@ TEST(Program, ValueAndInstLinking)
     const auto a = p.addValue(ValueKind::Input, 100, "a");
     const auto b = p.addValue(ValueKind::Intermediate, 100, "b");
     PolyInst inst;
-    inst.mnemonic = "op";
+    inst.stage = "op";
     inst.n = p.n;
     inst.fus = {{FuType::Add, 1, 100}};
     inst.reads = {a};
@@ -34,7 +34,7 @@ TEST(Program, ValidateDiesOnUseBeforeDef)
     const auto a = p.addValue(ValueKind::Intermediate, 100, "a");
     const auto b = p.addValue(ValueKind::Intermediate, 100, "b");
     PolyInst inst;
-    inst.mnemonic = "op";
+    inst.stage = "op";
     inst.n = p.n;
     inst.fus = {{FuType::Add, 1, 100}};
     inst.reads = {a}; // a has no producer and is Intermediate
@@ -42,6 +42,36 @@ TEST(Program, ValidateDiesOnUseBeforeDef)
     inst.duration = 10;
     p.addInst(std::move(inst));
     EXPECT_DEATH(p.validate(), "before production");
+}
+
+TEST(Program, NamesRenderedOnlyFromOpIdAndStaticParts)
+{
+    PolyInst inst;
+    inst.stage = "ksw.modup";
+    EXPECT_EQ(instName(inst), "ksw.modup"); // hand-built: no op id
+    inst.homOp = 12;
+    EXPECT_EQ(instName(inst), "op12.ksw.modup");
+
+    Program p;
+    const auto a = p.addValue(ValueKind::Input, 100, "a");
+    const auto r = p.addValue(ValueKind::Intermediate, 100, "raised", 12);
+    const auto k = p.addValue(ValueKind::KeySwitchHint, 100);
+    p.values[k].name = "rot.1.t1#d1";
+    const auto v = p.addValue(ValueKind::Intermediate, 100);
+    EXPECT_EQ(valueName(p.values[a]), "a");
+    EXPECT_EQ(valueName(p.values[r]), "op12.raised");
+    EXPECT_EQ(valueName(p.values[k]), "rot.1.t1#d1");
+    EXPECT_EQ(valueName(p.values[v]), "");
+}
+
+TEST(Program, InlineOperandsAssertOnOverflow)
+{
+    PolyInst inst;
+    inst.writes = {1};
+    EXPECT_EQ(inst.writes.size(), 1u);
+    EXPECT_DEATH(inst.writes.push_back(2), "capacity 1 exceeded");
+    inst.reads = {1, 2, 3};
+    EXPECT_DEATH(inst.reads.push_back(4), "capacity 3 exceeded");
 }
 
 TEST(Program, FuTypeNames)

@@ -21,7 +21,7 @@ singleInstProgram(std::uint64_t duration, unsigned fu_units = 1)
     const auto in = p.addValue(ValueKind::Input, 1 << 20, "in");
     const auto out = p.addValue(ValueKind::Output, 1 << 20, "out");
     PolyInst inst;
-    inst.mnemonic = "op";
+    inst.stage = "op";
     inst.n = p.n;
     inst.fus = {{FuType::Add, fu_units, 1 << 20}};
     inst.reads = {in};
@@ -53,7 +53,7 @@ TEST(Simulator, IndependentOpsOverlapOnDifferentUnits)
     for (int i = 0; i < 2; ++i) {
         const auto out = p.addValue(ValueKind::Intermediate, 1024, "t");
         PolyInst inst;
-        inst.mnemonic = "op";
+        inst.stage = "op";
         inst.n = p.n;
         inst.fus = {{FuType::Add, 1, 1024}};
         inst.reads = {in};
@@ -77,7 +77,7 @@ TEST(Simulator, SameUnitSerializes)
     for (int i = 0; i < 3; ++i) {
         const auto out = p.addValue(ValueKind::Intermediate, 1024, "t");
         PolyInst inst;
-        inst.mnemonic = "crb";
+        inst.stage = "crb";
         inst.n = p.n;
         inst.fus = {{FuType::Crb, 1, 1024}}; // only one CRB exists
         inst.reads = {in};
@@ -101,7 +101,7 @@ TEST(Simulator, PortPressureThrottles)
     for (int i = 0; i < 2; ++i) {
         const auto out = p.addValue(ValueKind::Intermediate, 1024, "t");
         PolyInst inst;
-        inst.mnemonic = "wide";
+        inst.stage = "wide";
         inst.n = p.n;
         inst.fus = {{FuType::Add, 2, 1024}};
         inst.reads = {in};
@@ -133,7 +133,7 @@ TEST(Simulator, ReusedOperandLoadsOnce)
     for (int i = 0; i < 5; ++i) {
         const auto out = p.addValue(ValueKind::Intermediate, 1024, "t");
         PolyInst inst;
-        inst.mnemonic = "use";
+        inst.stage = "use";
         inst.n = p.n;
         inst.fus = {{FuType::Multiply, 1, 1024}};
         inst.reads = {ksh};
@@ -159,7 +159,7 @@ TEST(Simulator, CapacityEvictionCausesReload)
     for (int i = 0; i < 4; ++i) {
         const auto out = p.addValue(ValueKind::Intermediate, 16, "t");
         PolyInst inst;
-        inst.mnemonic = "use";
+        inst.stage = "use";
         inst.n = p.n;
         inst.fus = {{FuType::Multiply, 1, 16}};
         inst.reads = {i % 2 == 0 ? a : b};
@@ -187,7 +187,7 @@ TEST(Simulator, DirtyIntermediateSpills)
     const auto t3 = p.addValue(ValueKind::Intermediate, 16, "t3");
 
     PolyInst produce;
-    produce.mnemonic = "produce";
+    produce.stage = "produce";
     produce.n = p.n;
     produce.fus = {{FuType::Add, 1, 16}};
     produce.reads = {in};
@@ -196,7 +196,7 @@ TEST(Simulator, DirtyIntermediateSpills)
     p.addInst(std::move(produce));
 
     PolyInst other; // forces t1 out
-    other.mnemonic = "other";
+    other.stage = "other";
     other.n = p.n;
     other.fus = {{FuType::Add, 1, 16}};
     other.reads = {k};
@@ -205,7 +205,7 @@ TEST(Simulator, DirtyIntermediateSpills)
     p.addInst(std::move(other));
 
     PolyInst consume; // t1 reloaded
-    consume.mnemonic = "consume";
+    consume.stage = "consume";
     consume.n = p.n;
     consume.fus = {{FuType::Add, 1, 16}};
     consume.reads = {t1};
@@ -230,7 +230,7 @@ TEST(Simulator, NetworkBandwidthLimits)
     const auto in = p.addValue(ValueKind::Input, 1024, "in");
     const auto out = p.addValue(ValueKind::Intermediate, 1024, "out");
     PolyInst inst;
-    inst.mnemonic = "ntt";
+    inst.stage = "ntt";
     inst.n = p.n;
     inst.fus = {{FuType::Ntt, 1, 1024}};
     inst.reads = {in};
@@ -261,7 +261,7 @@ TEST(Simulator, CrossbarInflatesTraffic)
     const auto in = p.addValue(ValueKind::Input, 1024, "in");
     const auto out = p.addValue(ValueKind::Intermediate, 1024, "out");
     PolyInst inst;
-    inst.mnemonic = "ntt";
+    inst.stage = "ntt";
     inst.n = p.n;
     inst.fus = {{FuType::Ntt, 1, 1024}};
     inst.reads = {in};
@@ -302,11 +302,11 @@ simpleInst(std::vector<std::uint32_t> reads,
            std::vector<std::uint32_t> writes, const char *mnemonic)
 {
     PolyInst inst;
-    inst.mnemonic = mnemonic;
+    inst.stage = mnemonic;
     inst.n = 1 << 16;
     inst.fus = {{FuType::Add, 1, 16}};
-    inst.reads = std::move(reads);
-    inst.writes = std::move(writes);
+    inst.reads.assign(reads.begin(), reads.end());
+    inst.writes.assign(writes.begin(), writes.end());
     inst.duration = 10;
     inst.rfPorts = 2;
     return inst;

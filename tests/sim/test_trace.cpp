@@ -36,7 +36,7 @@ TEST(Trace, RecordsEveryInstruction)
     for (std::size_t i = 0; i < p.size(); ++i) {
         const InstTrace &t = rec.insts()[i];
         EXPECT_EQ(t.id, p.insts[i].id);
-        EXPECT_EQ(t.mnemonic, p.insts[i].mnemonic);
+        EXPECT_EQ(t.mnemonic, instName(p.insts[i]));
         EXPECT_LE(t.issueReady, t.start);
         EXPECT_LE(t.operandsAt, t.start);
         EXPECT_EQ(t.finish, t.start + p.insts[i].duration);
@@ -128,11 +128,11 @@ TEST(Trace, ResidencyEventsCoverLifecycle)
     auto mk = [&](std::vector<std::uint32_t> r,
                   std::vector<std::uint32_t> w) {
         PolyInst inst;
-        inst.mnemonic = "op";
+        inst.stage = "op";
         inst.n = p.n;
         inst.fus = {{FuType::Add, 1, 16}};
-        inst.reads = std::move(r);
-        inst.writes = std::move(w);
+        inst.reads.assign(r.begin(), r.end());
+        inst.writes.assign(w.begin(), w.end());
         inst.duration = 10;
         inst.rfPorts = 2;
         p.addInst(std::move(inst));
@@ -185,7 +185,7 @@ TEST(Trace, StreamedOperandsEmitStreamEvents)
     const auto S = p.addValue(ValueKind::Input, 2560, "S");
     const auto o = p.addValue(ValueKind::Intermediate, 256, "o");
     PolyInst inst;
-    inst.mnemonic = "use";
+    inst.stage = "use";
     inst.n = p.n;
     inst.fus = {{FuType::Add, 1, 16}};
     inst.reads = {S};
@@ -215,11 +215,11 @@ TEST(Trace, StallAttributionFindsOperandWait)
     auto mk = [&](std::vector<std::uint32_t> r,
                   std::vector<std::uint32_t> w, std::uint64_t dur) {
         PolyInst inst;
-        inst.mnemonic = "op";
+        inst.stage = "op";
         inst.n = p.n;
         inst.fus = {{FuType::Add, 1, 16}};
-        inst.reads = std::move(r);
-        inst.writes = std::move(w);
+        inst.reads.assign(r.begin(), r.end());
+        inst.writes.assign(w.begin(), w.end());
         inst.duration = dur;
         inst.rfPorts = 2;
         p.addInst(std::move(inst));

@@ -98,11 +98,11 @@ faultSiteProgram()
                     std::vector<std::uint32_t> writes,
                     const char *mnemonic, std::uint64_t net) {
         PolyInst i;
-        i.mnemonic = mnemonic;
+        i.stage = mnemonic;
         i.n = p.n;
         i.fus = {{FuType::Add, 1, 16}};
-        i.reads = std::move(reads);
-        i.writes = std::move(writes);
+        i.reads.assign(reads.begin(), reads.end());
+        i.writes.assign(writes.begin(), writes.end());
         i.duration = 10;
         i.rfPorts = 2;
         i.networkWords = net;
