@@ -257,6 +257,124 @@ BM_Intt(benchmark::State &state)
 }
 BENCHMARK(BM_Intt)->Arg(12)->Arg(16);
 
+// ---- Wide-modulus kernels at N = 2^15 ------------------------------
+// The 28-bit rows above exercise only the narrow vector arithmetic;
+// these run the widths the CKKS workloads use (Args: {bits, backend}),
+// so each kernel's scalar-vs-vector ratio is measured where it
+// matters. 40 and 50 bits are hom-ops' primes, 55 the bootstrap
+// chain's special primes, 60 the widest the lazy NTT takes.
+
+constexpr std::size_t kWideN = std::size_t{1} << 15;
+
+void
+wideArgs(benchmark::internal::Benchmark *b)
+{
+    for (int bits : {40, 50, 55, 60})
+        for (int backend : {kScalar, kAvx512})
+            b->Args({bits, backend});
+}
+
+void
+BM_WideNtt(benchmark::State &state)
+{
+    BackendArg backend(state, 1);
+    if (!backend.ok())
+        return;
+    const u64 q = generateNttPrimes(state.range(0), kWideN, 1)[0];
+    NttTables tables(kWideN, q);
+    std::vector<u64> a(kWideN);
+    FastRng rng(21);
+    for (auto &v : a)
+        v = rng.nextBelow(q);
+    for (auto _ : state) {
+        tables.forward(a.data());
+        benchmark::DoNotOptimize(a.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kWideN / 2 *
+                            log2Exact(kWideN)); // butterflies
+}
+BENCHMARK(BM_WideNtt)->Apply(wideArgs)->Unit(benchmark::kMicrosecond);
+
+void
+BM_WideIntt(benchmark::State &state)
+{
+    BackendArg backend(state, 1);
+    if (!backend.ok())
+        return;
+    const u64 q = generateNttPrimes(state.range(0), kWideN, 1)[0];
+    NttTables tables(kWideN, q);
+    std::vector<u64> a(kWideN);
+    FastRng rng(22);
+    for (auto &v : a)
+        v = rng.nextBelow(q);
+    for (auto _ : state) {
+        tables.inverse(a.data());
+        benchmark::DoNotOptimize(a.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kWideN / 2 *
+                            log2Exact(kWideN));
+}
+BENCHMARK(BM_WideIntt)->Apply(wideArgs)->Unit(benchmark::kMicrosecond);
+
+void
+BM_WideBaseConvMac(benchmark::State &state)
+{
+    // One destination row of an 8-term base conversion; the sources
+    // are as wide as the destination.
+    BackendArg backend(state, 1);
+    if (!backend.ok())
+        return;
+    const std::size_t ls = 8;
+    auto primes = generateNttPrimes(state.range(0), kWideN, ls + 1);
+    const u64 q = primes[ls];
+    const u64 x_bound =
+        *std::max_element(primes.begin(), primes.begin() + ls);
+    std::vector<std::vector<u64>> x(ls, std::vector<u64>(kWideN));
+    std::vector<const u64 *> xs(ls);
+    std::vector<u64> cs(ls), y(kWideN);
+    FastRng rng(23);
+    for (std::size_t i = 0; i < ls; ++i) {
+        for (auto &v : x[i])
+            v = rng.nextBelow(primes[i]);
+        xs[i] = x[i].data();
+        cs[i] = rng.nextBelow(q);
+    }
+    for (auto _ : state) {
+        kernels().baseconvMacVec(y.data(), xs.data(), cs.data(), ls,
+                                 kWideN, q, x_bound);
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kWideN * ls); // MACs
+}
+BENCHMARK(BM_WideBaseConvMac)->Apply(wideArgs)
+    ->Unit(benchmark::kMicrosecond);
+
+void
+BM_WideMulModVec(benchmark::State &state)
+{
+    BackendArg backend(state, 1);
+    if (!backend.ok())
+        return;
+    const u64 q = generateNttPrimes(state.range(0), kWideN, 1)[0];
+    std::vector<u64> a(kWideN), b(kWideN);
+    FastRng rng(24);
+    for (std::size_t i = 0; i < kWideN; ++i) {
+        a[i] = rng.nextBelow(q);
+        b[i] = rng.nextBelow(q);
+    }
+    for (auto _ : state) {
+        kernels().mulModVec(a.data(), b.data(), kWideN, q);
+        benchmark::DoNotOptimize(a.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kWideN);
+}
+BENCHMARK(BM_WideMulModVec)->Apply(wideArgs)
+    ->Unit(benchmark::kMicrosecond);
+
 void
 BM_NttBatch(benchmark::State &state)
 {

@@ -8,11 +8,10 @@ namespace cl {
 
 namespace {
 
-/** Butterfly blocks shorter than this stay on the inline scalar loop:
- *  a function-pointer call per block only pays off once the block
- *  amortizes it over a vector's worth of lanes. The last log2(8)
- *  stages of an N-point transform run inline; they hold a small,
- *  fixed fraction of the work. */
+/** Butterfly blocks at least this long go through the per-block
+ *  kernels; the shorter ones (the last three forward and first three
+ *  inverse stages, t = 4, 2, 1) run as one tail kernel per transform,
+ *  since a function-pointer call per block would not amortize. */
 constexpr std::size_t kNttVecMinBlock = 8;
 
 } // namespace
@@ -40,42 +39,52 @@ NttTables::NttTables(std::size_t n, u64 q) : n_(n), q_(q)
 }
 
 void
-NttTables::forwardLazy(u64 *a) const
+NttTables::forwardStages(u64 *a, std::size_t m) const
 {
-    countNtts(1);
-    countMemPass(logN_, u64{logN_} * 8 * n_);
     // Merged negacyclic Cooley-Tukey with Harvey lazy reduction:
     // operands ride in [0, 4q) between stages, each butterfly does one
     // conditional 2q-subtract plus one lazy Shoup multiply (no final
     // subtract). Same dataflow the hardware NTT FUs pipeline; the lazy
     // window is the software analogue of their redundant-digit
-    // arithmetic. Long butterfly blocks go through the SIMD kernel
-    // table; every backend computes the identical lazy formula, so
-    // the intermediate representatives — not just the final values —
-    // are bit-identical across backends.
+    // arithmetic. Every backend computes the identical lazy formula,
+    // so the intermediate representatives — not just the final
+    // values — are bit-identical across backends.
     const KernelTable &K = kernels();
-    const u64 q = q_;
-    const u64 two_q = 2 * q;
-    std::size_t t = n_;
-    for (std::size_t m = 1; m < n_; m <<= 1) {
-        t >>= 1;
+    for (std::size_t t = n_ / (2 * m); t >= kNttVecMinBlock;
+         m <<= 1, t >>= 1) {
         for (std::size_t i = 0; i < m; ++i) {
-            const std::size_t j1 = 2 * i * t;
             const ShoupMul &w = fwdTwiddles_[m + i];
-            if (t >= kNttVecMinBlock) {
-                K.nttFwdButterflyVec(a + j1, a + j1 + t, t, w.w, w.wPrec,
-                                     q);
-                continue;
-            }
-            for (std::size_t j = j1; j < j1 + t; ++j) {
-                u64 x = a[j]; // [0, 4q)
-                x -= two_q * (x >= two_q); // -> [0, 2q), branchless
-                const u64 v = w.mulLazy(a[j + t], q); // [0, 2q)
-                a[j] = x + v;                         // [0, 4q)
-                a[j + t] = x + two_q - v;             // (0, 4q)
-            }
+            K.nttFwdButterflyVec(a + 2 * i * t, a + 2 * i * t + t, t, w.w,
+                                 w.wPrec, q_);
         }
     }
+    K.nttFwdTailVec(a, n_, fwdTwiddles_.data(), q_);
+}
+
+void
+NttTables::inverseStages(u64 *a, std::size_t mEnd) const
+{
+    // Gentleman-Sande with operands lazily held in [0, 2q); the N^-1
+    // scaling (and with it the full reduction to [0, q)) is left to
+    // the caller.
+    const KernelTable &K = kernels();
+    K.nttInvTailVec(a, n_, invTwiddles_.data(), q_);
+    for (std::size_t t = kNttVecMinBlock; n_ / t > mEnd; t <<= 1) {
+        const std::size_t h = n_ / (2 * t);
+        for (std::size_t i = 0; i < h; ++i) {
+            const ShoupMul &w = invTwiddles_[h + i];
+            K.nttInvButterflyVec(a + 2 * i * t, a + 2 * i * t + t, t, w.w,
+                                 w.wPrec, q_);
+        }
+    }
+}
+
+void
+NttTables::forwardLazy(u64 *a) const
+{
+    countNtts(1);
+    countMemPass(logN_, u64{logN_} * 8 * n_);
+    forwardStages(a, 1);
 }
 
 void
@@ -102,48 +111,23 @@ NttTables::forwardRescale(u64 *a, const u64 *xl,
     // correction pass match forward() exactly.
     countMemPass(logN_ + 1, u64{logN_ + 1} * 8 * n_ + u64{8} * n_);
     const KernelTable &K = kernels();
-    const u64 q = q_;
-    const u64 two_q = 2 * q;
     // Stage m=1: one block of t = N/2 with twiddle fwdTwiddles_[1],
     // with the rescale correction applied to both halves on load. The
     // corrected values are canonical, so the composed stage's 2q-fold
     // on the upper half is a no-op and the outputs match composed.
-    std::size_t t = n_ >> 1;
-    const ShoupMul &w1 = fwdTwiddles_[1];
+    const std::size_t t = n_ >> 1;
     if (t >= kNttVecMinBlock) {
+        const ShoupMul &w1 = fwdTwiddles_[1];
         K.rescaleNttFwdButterflyVec(a, a + t, xl, xl + t, t, &rc, w1.w,
-                                    w1.wPrec, q);
+                                    w1.wPrec, q_);
+        forwardStages(a, 2);
     } else {
-        for (std::size_t j = 0; j < t; ++j) {
-            const u64 cx = rescaleCorrectScalar(a[j], xl[j], rc, q);
-            const u64 cy = rescaleCorrectScalar(a[j + t], xl[j + t], rc,
-                                                q);
-            const u64 v = w1.mulLazy(cy, q); // [0, 2q)
-            a[j] = cx + v;                   // [0, 3q)
-            a[j + t] = cx + two_q - v;       // (0, 3q)
-        }
+        // Short transforms: correct every coefficient first, then run
+        // all stages — the same values, by the argument above.
+        K.rescaleEpilogueVec(a, xl, n_, &rc, q_);
+        forwardStages(a, 1);
     }
-    // Stages m >= 2: identical to forward().
-    for (std::size_t m = 2; m < n_; m <<= 1) {
-        t >>= 1;
-        for (std::size_t i = 0; i < m; ++i) {
-            const std::size_t j1 = 2 * i * t;
-            const ShoupMul &w = fwdTwiddles_[m + i];
-            if (t >= kNttVecMinBlock) {
-                K.nttFwdButterflyVec(a + j1, a + j1 + t, t, w.w, w.wPrec,
-                                     q);
-                continue;
-            }
-            for (std::size_t j = j1; j < j1 + t; ++j) {
-                u64 x = a[j];
-                x -= two_q * (x >= two_q);
-                const u64 v = w.mulLazy(a[j + t], q);
-                a[j] = x + v;
-                a[j + t] = x + two_q - v;
-            }
-        }
-    }
-    K.nttCorrectVec(a, n_, q);
+    K.nttCorrectVec(a, n_, q_);
 }
 
 void
@@ -151,44 +135,13 @@ NttTables::inverseLazy(u64 *a) const
 {
     countNtts(1);
     countMemPass(logN_, u64{logN_} * 8 * n_);
-    // Gentleman-Sande with operands lazily held in [0, 2q); the N^-1
-    // scaling (and with it the full reduction to [0, q)) is left to
-    // the caller's epilogue.
-    const KernelTable &K = kernels();
-    const u64 q = q_;
-    const u64 two_q = 2 * q;
-    std::size_t t = 1;
-    for (std::size_t m = n_; m > 1; m >>= 1) {
-        const std::size_t h = m >> 1;
-        std::size_t j1 = 0;
-        for (std::size_t i = 0; i < h; ++i) {
-            const ShoupMul &w = invTwiddles_[h + i];
-            if (t >= kNttVecMinBlock) {
-                K.nttInvButterflyVec(a + j1, a + j1 + t, t, w.w, w.wPrec,
-                                     q);
-                j1 += 2 * t;
-                continue;
-            }
-            for (std::size_t j = j1; j < j1 + t; ++j) {
-                const u64 x = a[j];     // [0, 2q)
-                const u64 y = a[j + t]; // [0, 2q)
-                u64 s = x + y;          // [0, 4q)
-                s -= two_q * (s >= two_q);
-                a[j] = s; // [0, 2q)
-                a[j + t] = w.mulLazy(x + two_q - y, q); // [0, 2q)
-            }
-            j1 += 2 * t;
-        }
-        t <<= 1;
-    }
+    inverseStages(a, 1);
 }
 
 void
 NttTables::inverse(u64 *a) const
 {
     const KernelTable &K = kernels();
-    const u64 q = q_;
-    const u64 two_q = 2 * q;
     const std::size_t half = n_ >> 1;
     if (fusionEnabled() && half >= kNttVecMinBlock) {
         // Fused path: run the GS stages down to m=4, then one kernel
@@ -197,37 +150,14 @@ NttTables::inverse(u64 *a) const
         // the composed sequence's final two passes in one.
         countNtts(1);
         countMemPass(logN_, u64{logN_} * 8 * n_);
-        std::size_t t = 1;
-        for (std::size_t m = n_; m > 2; m >>= 1) {
-            const std::size_t h = m >> 1;
-            std::size_t j1 = 0;
-            for (std::size_t i = 0; i < h; ++i) {
-                const ShoupMul &w = invTwiddles_[h + i];
-                if (t >= kNttVecMinBlock) {
-                    K.nttInvButterflyVec(a + j1, a + j1 + t, t, w.w,
-                                         w.wPrec, q);
-                    j1 += 2 * t;
-                    continue;
-                }
-                for (std::size_t j = j1; j < j1 + t; ++j) {
-                    const u64 x = a[j];
-                    const u64 y = a[j + t];
-                    u64 s = x + y;
-                    s -= two_q * (s >= two_q);
-                    a[j] = s;
-                    a[j + t] = w.mulLazy(x + two_q - y, q);
-                }
-                j1 += 2 * t;
-            }
-            t <<= 1;
-        }
+        inverseStages(a, 2);
         const ShoupMul &w = invTwiddles_[1];
         K.nttInvScaleButterflyVec(a, a + half, half, w.w, w.wPrec,
-                                  nInv_.w, nInv_.wPrec, q);
+                                  nInv_.w, nInv_.wPrec, q_);
         return;
     }
     inverseLazy(a);
-    K.nttScaleInvVec(a, n_, nInv_.w, nInv_.wPrec, q);
+    K.nttScaleInvVec(a, n_, nInv_.w, nInv_.wPrec, q_);
     countMemPass(1, u64{8} * n_);
 }
 

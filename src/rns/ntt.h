@@ -80,6 +80,13 @@ class NttTables
     u64 psi() const { return psi_; }
 
   private:
+    /** Forward CT stages m, 2m, ..., N/2 (no accounting). */
+    void forwardStages(u64 *a, std::size_t m) const;
+
+    /** Inverse GS stages from m = N down to, and excluding, @p mEnd
+     *  (no accounting). */
+    void inverseStages(u64 *a, std::size_t mEnd) const;
+
     std::size_t n_;
     unsigned logN_;
     u64 q_;

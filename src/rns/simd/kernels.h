@@ -10,7 +10,8 @@
  *
  *  - `scalar`  — the reference loops (exactly the pre-SIMD code).
  *  - `avx2`    — 4 lanes of 64-bit residues, 32x32->64 multiplies.
- *  - `avx512`  — 8 lanes, same algorithms with mask registers.
+ *  - `avx512`  — 8 lanes, mask registers, and exact 64x64-bit lane
+ *                products for the wide (q >= 2^30) CKKS primes.
  *
  * Selection is CPUID-driven (best supported backend wins) and can be
  * overridden with `CL_SIMD=scalar|avx2|avx512`, mirroring CL_THREADS:
@@ -33,16 +34,27 @@
  *
  * ## Modulus-width gating
  *
- * The multiply-class vector kernels engage only for moduli below
- * 2^30 (`kSimdNarrowModulusBound`): with q < 2^30 every lazy operand
- * stays below 4q < 2^32, so one 32x32->64 `vpmuludq` forms exact
- * products and the 64-bit Shoup/Barrett quotients split into two
- * 32-bit multiplies. This covers CraterLake's 28-bit datapath primes
- * (Sec 5.5). For wide (40-62-bit CKKS) primes the vector backends
- * delegate to the scalar reference — trivially bit-identical — and
- * add/sub/negate/gather, which need no multiplies, vectorize at any
- * width. A later backend (GPU, ISPC, AVX-512 IFMA) slots into the
- * same table.
+ * Which arithmetic runs depends on the modulus width:
+ *
+ *  - `avx512`, q < 2^30 (CraterLake's 28-bit datapath primes, Sec
+ *    5.5): every lazy operand stays below 4q < 2^32, so one 32x32->64
+ *    `vpmuludq` forms an exact product and the 64-bit Shoup/Barrett
+ *    quotients split into two 32-bit multiplies.
+ *  - `avx512`, 2^30 <= q < 2^62 (the 40-62-bit CKKS primes): exact
+ *    64x64-bit lane products, each assembled from three (low word)
+ *    or four (high word) `vpmuludq`. Every multiply-class kernel has
+ *    this wide branch; the narrow one stays because it is faster for
+ *    the primes it covers.
+ *  - `avx2` runs only the narrow arithmetic; for q >= 2^30 its
+ *    multiply-class kernels delegate to the scalar reference, which
+ *    is trivially bit-identical.
+ *
+ * add/sub/negate/gather need no multiplies and vectorize at any
+ * width on both backends, as does `avx512`'s NTT correction pass. The
+ * NTT's short-block stages (t < 8) run as one table entry per
+ * direction; `avx512` shuffles 8 of their butterflies into each
+ * vector, the other backends run the scalar loop. A later
+ * backend (GPU, ISPC, AVX-512 IFMA) slots into the same table.
  */
 
 #ifndef CL_RNS_SIMD_KERNELS_H
@@ -62,10 +74,6 @@ enum class SimdBackend
     Avx2 = 1,
     Avx512 = 2,
 };
-
-/** Multiply-class vector kernels engage only for q below this bound
- *  (4q must fit 32 bits so vpmuludq products are exact). */
-constexpr u64 kSimdNarrowModulusBound = u64{1} << 30;
 
 /**
  * Precomputed constants for the fused rescale epilogue/prologue
@@ -154,8 +162,10 @@ struct KernelTable
      * changeRNSBase inner product for one destination tower:
      * y[k] = sum_i (xs[i][k] mod q) * cs[i]  mod q, with cs[i] < q.
      * @p x_bound is an exclusive upper bound on every xs value (the
-     * largest source modulus); the vector path engages when both q
-     * and x_bound are narrow.
+     * largest source modulus). `avx512` takes its narrow path when q
+     * < 2^30 and x_bound <= 2^32, and otherwise its wide path (one
+     * Shoup multiply per term, exact for any xs value); `avx2` has
+     * only the narrow path and runs the scalar reference otherwise.
      */
     void (*baseconvMacVec)(u64 *y, const u64 *const *xs, const u64 *cs,
                            std::size_t ls, std::size_t n, u64 q,
@@ -185,6 +195,28 @@ struct KernelTable
      */
     void (*nttInvButterflyVec)(u64 *x, u64 *y, std::size_t t, u64 w,
                                u64 wPrec, u64 q);
+
+    /**
+     * The forward NTT's last stages, those with butterfly blocks
+     * shorter than 8 (t = 4, 2, 1; fewer when N < 8): for each such
+     * stage, m = N / (2t) blocks, block i with twiddle tw[m + i],
+     * each butterfly exactly as nttFwdButterflyVec. @p tw is the
+     * bit-reversed forward twiddle table. Inputs in [0, 4q); outputs
+     * in [0, 4q).
+     */
+    void (*nttFwdTailVec)(u64 *a, std::size_t n, const ShoupMul *tw,
+                          u64 q);
+
+    /**
+     * The inverse NTT's first stages, those with butterfly blocks
+     * shorter than 8 (t = 1, 2, 4; fewer when N < 8): for each such
+     * stage, h = N / (2t) blocks, block i with twiddle tw[h + i],
+     * each butterfly exactly as nttInvButterflyVec. @p tw is the
+     * bit-reversed inverse twiddle table. Inputs and outputs in
+     * [0, 2q).
+     */
+    void (*nttInvTailVec)(u64 *a, std::size_t n, const ShoupMul *tw,
+                          u64 q);
 
     /** Final forward-NTT correction pass: a[i] in [0, 4q) -> [0, q). */
     void (*nttCorrectVec)(u64 *a, std::size_t n, u64 q);

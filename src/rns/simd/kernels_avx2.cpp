@@ -4,7 +4,8 @@
  * AVX2 has no 64x64 multiply, so every product is built from the
  * 32x32->64 `vpmuludq`; that is exact only when the narrow-modulus
  * gate holds (q < 2^30, all lazy operands < 4q < 2^32 — see
- * kernels.h). Quotient synthesis:
+ * kernels.h). Wide moduli and the NTT's short-block stages run the
+ * scalar reference. Quotient synthesis:
  *
  *  - Shoup quotient, operand x < 2^32, 64-bit precomputed wPrec split
  *    as wpHi:wpLo:  floor(x*wPrec / 2^64)
@@ -106,10 +107,13 @@ barrettReduce(__m256i v, const Split32 &m, __m256i qv, __m256i qm1)
     return csub(r, qv, qm1);
 }
 
+/** Multiply-class kernels vectorize only for q below this bound. */
+constexpr u64 kNarrowModulusBound = u64{1} << 30;
+
 inline bool
 narrow(u64 q)
 {
-    return q < kSimdNarrowModulusBound;
+    return q < kNarrowModulusBound;
 }
 
 // --- Kernels -----------------------------------------------------------
@@ -578,6 +582,8 @@ avx2Table()
         &gatherVec,
         &nttFwdButterflyVec,
         &nttInvButterflyVec,
+        &ref::nttFwdTailVec,
+        &ref::nttInvTailVec,
         &nttCorrectVec,
         &nttScaleInvVec,
         &nttInvScaleButterflyVec,

@@ -23,6 +23,8 @@ scalarTable()
         &ref::gatherVec,
         &ref::nttFwdButterflyVec,
         &ref::nttInvButterflyVec,
+        &ref::nttFwdTailVec,
+        &ref::nttInvTailVec,
         &ref::nttCorrectVec,
         &ref::nttScaleInvVec,
         &ref::nttInvScaleButterflyVec,

@@ -3,8 +3,8 @@
  * Scalar reference implementations of every kernel in the dispatch
  * table — exactly the loops the library ran before the SIMD backend
  * existed. The scalar table points straight at these; the vector
- * backends call them for wide moduli and loop tails, which is what
- * makes the bit-identity argument trivial off the narrow fast path.
+ * backends call them for loop tails, and AVX2 also for wide moduli,
+ * which makes the bit-identity argument trivial off its narrow path.
  *
  * Internal header: only the backend translation units include it.
  */
@@ -12,6 +12,7 @@
 #ifndef CL_RNS_SIMD_REF_IMPL_H
 #define CL_RNS_SIMD_REF_IMPL_H
 
+#include <algorithm>
 #include <vector>
 
 #include "rns/modarith.h"
@@ -94,7 +95,10 @@ baseconvMacVec(u64 *y, const u64 *const *xs, const u64 *cs,
         q_bits >= 60   ? 8
         : q_bits <= 31 ? ~std::size_t{0}
                        : std::size_t{1} << (126 - 2 * q_bits);
-    std::vector<u128> acc(n, 0);
+    // The tiled base conversion calls this once per block per
+    // destination tower: reuse one buffer per worker thread.
+    static thread_local std::vector<u128> acc;
+    acc.assign(n, 0);
     std::size_t since_reduce = 0;
     for (std::size_t i = 0; i < ls; ++i) {
         const u64 c = cs[i];
@@ -148,6 +152,29 @@ nttInvButterflyVec(u64 *x, u64 *y, std::size_t t, u64 w, u64 wPrec,
         const u64 u = xx + two_q - yy; // (0, 4q)
         const u64 hi = static_cast<u64>(((u128)u * wPrec) >> 64);
         y[j] = u * w - hi * q; // mulLazy: [0, 2q)
+    }
+}
+
+inline void
+nttFwdTailVec(u64 *a, std::size_t n, const ShoupMul *tw, u64 q)
+{
+    for (std::size_t t = std::min<std::size_t>(4, n / 2); t >= 1; t >>= 1) {
+        const std::size_t m = n / (2 * t);
+        for (std::size_t i = 0; i < m; ++i)
+            nttFwdButterflyVec(a + 2 * i * t, a + 2 * i * t + t, t,
+                               tw[m + i].w, tw[m + i].wPrec, q);
+    }
+}
+
+inline void
+nttInvTailVec(u64 *a, std::size_t n, const ShoupMul *tw, u64 q)
+{
+    const std::size_t t_end = std::min<std::size_t>(4, n / 2);
+    for (std::size_t t = 1; t <= t_end; t <<= 1) {
+        const std::size_t h = n / (2 * t);
+        for (std::size_t i = 0; i < h; ++i)
+            nttInvButterflyVec(a + 2 * i * t, a + 2 * i * t + t, t,
+                               tw[h + i].w, tw[h + i].wPrec, q);
     }
 }
 

@@ -54,7 +54,9 @@ allBackends()
     return v;
 }
 
-const unsigned kPrimeWidths[] = {28, 40, 50, 60};
+/** As in test_simd.cpp: the hardware and CKKS widths plus both sides
+ *  of the narrow/wide switch at 2^30 and the 61/62-bit extremes. */
+const unsigned kPrimeWidths[] = {28, 30, 31, 40, 50, 55, 60, 61, 62};
 
 u64
 primeOfWidth(unsigned bits, std::size_t n = 1 << 10)

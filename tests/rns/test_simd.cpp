@@ -3,8 +3,10 @@
  * Property tests for the SIMD kernel backends: every vector backend
  * available on this host must be bit-identical to the scalar
  * reference on every kernel, for every named prime width (28-bit
- * hardware primes and the 40/50/60-bit CKKS primes), on random
- * inputs and on the lazy-reduction boundary values q-1, 2q-1, 4q-1.
+ * hardware primes, the 40-62-bit CKKS primes, and the 30/31-bit pair
+ * either side of the narrow/wide arithmetic switch at 2^30), on
+ * random inputs and on the lazy-reduction boundary values q-1, 2q-1,
+ * 4q-1.
  */
 
 #include <gtest/gtest.h>
@@ -47,8 +49,10 @@ vectorBackends()
 }
 
 /** The named prime widths used across the repo: the 28-bit hardware
- *  datapath width plus the wide CKKS scale/first/special widths. */
-const unsigned kPrimeWidths[] = {28, 40, 50, 60};
+ *  datapath width, the wide CKKS scale/first/special widths, 30/31
+ *  bits (the last narrow and first wide primes), and 61/62 bits, where
+ *  4q comes within a factor of two of 2^64. */
+const unsigned kPrimeWidths[] = {28, 30, 31, 40, 50, 55, 60, 61, 62};
 
 u64
 primeOfWidth(unsigned bits, std::size_t n = 1 << 10)
@@ -239,36 +243,47 @@ TEST_P(SimdBackendTest, NttButterflyKernelsMatchScalar)
 
 TEST_P(SimdBackendTest, BaseconvMacMatchesScalar)
 {
-    // Narrow/narrow engages the vector MAC; a wide source or wide
-    // destination modulus must take the (identical) scalar fallback.
+    // Every source/destination width pairing: narrow/narrow takes the
+    // 32-bit vector MAC (28-bit rows with many terms force accumulator
+    // flushes), every other pairing the wide Shoup MAC on avx512 and
+    // the scalar reference on avx2. Sources wider than the destination
+    // exercise the Shoup multiply on x >= q. Lengths are not multiples
+    // of 8, so the scalar tails run too.
     struct Shape
     {
         unsigned src_bits, dst_bits;
     };
     for (Shape s : {Shape{28, 28}, Shape{28, 50}, Shape{50, 28},
-                    Shape{50, 50}, Shape{60, 60}}) {
-        const std::size_t n = 200; // not a multiple of 8: tail coverage
-        const std::size_t ls = 9;  // forces >1 accumulator flush at 28b
-        auto src = generateNttPrimes(s.src_bits, 1 << 10, ls);
-        const u64 q = primeOfWidth(s.dst_bits);
-        const u64 x_bound = *std::max_element(src.begin(), src.end());
+                    Shape{50, 50}, Shape{60, 60}, Shape{60, 40},
+                    Shape{62, 31}, Shape{55, 50}}) {
+        for (std::size_t ls : {1, 2, 9, 17, 33}) {
+            for (std::size_t n : {5, 203}) {
+                auto src = generateNttPrimes(s.src_bits, 1 << 10, ls);
+                const u64 q = primeOfWidth(s.dst_bits);
+                const u64 x_bound =
+                    *std::max_element(src.begin(), src.end());
 
-        std::vector<std::vector<u64>> x(ls);
-        std::vector<const u64 *> xs(ls);
-        std::vector<u64> cs(ls);
-        FastRng rng(71 * s.src_bits + s.dst_bits);
-        for (std::size_t i = 0; i < ls; ++i) {
-            x[i] = randomVec(n, src[i], rng.next64(), {src[i] - 1, 0});
-            xs[i] = x[i].data();
-            cs[i] = rng.nextBelow(q);
+                std::vector<std::vector<u64>> x(ls);
+                std::vector<const u64 *> xs(ls);
+                std::vector<u64> cs(ls);
+                FastRng rng(71 * s.src_bits + s.dst_bits + 7 * ls + n);
+                for (std::size_t i = 0; i < ls; ++i) {
+                    x[i] = randomVec(n, src[i], rng.next64(),
+                                     {src[i] - 1, 0});
+                    xs[i] = x[i].data();
+                    cs[i] = i == 0 ? q - 1 : rng.nextBelow(q);
+                }
+                std::vector<u64> y1(n), y2(n);
+                ref().baseconvMacVec(y1.data(), xs.data(), cs.data(), ls,
+                                     n, q, x_bound);
+                vec().baseconvMacVec(y2.data(), xs.data(), cs.data(), ls,
+                                     n, q, x_bound);
+                ASSERT_EQ(y1, y2)
+                    << "src_bits=" << s.src_bits
+                    << " dst_bits=" << s.dst_bits << " ls=" << ls
+                    << " n=" << n;
+            }
         }
-        std::vector<u64> y1(n), y2(n);
-        ref().baseconvMacVec(y1.data(), xs.data(), cs.data(), ls, n, q,
-                             x_bound);
-        vec().baseconvMacVec(y2.data(), xs.data(), cs.data(), ls, n, q,
-                             x_bound);
-        ASSERT_EQ(y1, y2) << "src_bits=" << s.src_bits
-                          << " dst_bits=" << s.dst_bits;
     }
 }
 
@@ -292,28 +307,45 @@ TEST_P(SimdBackendTest, WholeNttTransformMatchesScalar)
 {
     // End-to-end: the backend under test must reproduce the scalar
     // forward and inverse transforms bit-for-bit, including the lazy
-    // intermediate representatives (checked implicitly: any divergence
-    // inside a stage propagates to the output).
+    // representatives forwardLazy/inverseLazy leave. N = 8 takes the
+    // scalar short-stage loop, N = 16 is one chunk of the in-register
+    // short stages, and N = 2^15 is the hom-ops ring.
     BackendGuard guard;
-    const std::size_t n = 1 << 12;
-    for (unsigned bits : {28u, 50u}) {
-        const u64 q = generateNttPrimes(bits, n, 1)[0];
-        NttTables tables(n, q);
-        const auto input = randomVec(n, q, 1000 + bits, {0, q - 1});
+    for (unsigned logn : {3u, 4u, 15u}) {
+        const std::size_t n = std::size_t{1} << logn;
+        for (unsigned bits : {28u, 40u, 50u, 55u, 62u}) {
+            const u64 q = generateNttPrimes(bits, n, 1)[0];
+            NttTables tables(n, q);
+            const auto input =
+                randomVec(n, q, 1000 * logn + bits, {0, q - 1});
 
-        ASSERT_TRUE(setSimdBackend(SimdBackend::Scalar));
-        auto a = input;
-        tables.forward(a.data());
-        auto a_rt = a;
-        tables.inverse(a_rt.data());
-        EXPECT_EQ(a_rt, input);
+            ASSERT_TRUE(setSimdBackend(SimdBackend::Scalar));
+            auto a = input;
+            tables.forward(a.data());
+            auto a_rt = a;
+            tables.inverse(a_rt.data());
+            EXPECT_EQ(a_rt, input);
+            auto a_lazy = input;
+            tables.forwardLazy(a_lazy.data());
+            auto a_inv_lazy = a; // inverseLazy takes [0, 2q)
+            tables.inverseLazy(a_inv_lazy.data());
 
-        ASSERT_TRUE(setSimdBackend(GetParam()));
-        auto b = input;
-        tables.forward(b.data());
-        ASSERT_EQ(a, b) << "forward bits=" << bits;
-        tables.inverse(b.data());
-        ASSERT_EQ(b, input) << "round trip bits=" << bits;
+            ASSERT_TRUE(setSimdBackend(GetParam()));
+            auto b = input;
+            tables.forward(b.data());
+            ASSERT_EQ(a, b) << "forward logN=" << logn << " bits=" << bits;
+            auto b_inv_lazy = b;
+            tables.inverseLazy(b_inv_lazy.data());
+            ASSERT_EQ(a_inv_lazy, b_inv_lazy)
+                << "inverseLazy logN=" << logn << " bits=" << bits;
+            tables.inverse(b.data());
+            ASSERT_EQ(b, input)
+                << "round trip logN=" << logn << " bits=" << bits;
+            auto b_lazy = input;
+            tables.forwardLazy(b_lazy.data());
+            ASSERT_EQ(a_lazy, b_lazy)
+                << "forwardLazy logN=" << logn << " bits=" << bits;
+        }
     }
 }
 
