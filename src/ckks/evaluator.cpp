@@ -185,39 +185,42 @@ Evaluator::decompose(const RnsPoly &d, unsigned alpha_ks) const
         std::vector<unsigned> digit_idx;
         for (unsigned i = j * a; i < std::min(l, (j + 1) * a); ++i)
             digit_idx.push_back(i);
+        const auto inDigit = [&](unsigned i) {
+            return i >= j * a && i < std::min(l, (j + 1) * a);
+        };
         std::vector<unsigned> comp_idx;
         for (unsigned i : ext_idx) {
-            if (i < j * a || i >= (j + 1) * a)
+            if (!inDigit(i))
                 comp_idx.push_back(i);
         }
 
         // Listing 1, lines 3-4: changeRNSBase to the complement, then
-        // NTT the raised residues (one worker per tower).
+        // NTT the raised residues (one worker per tower). The
+        // conversion writes each raised residue straight into its tower
+        // of u, listed in comp_idx order.
+        RnsPoly u(RnsPoly::Uninit{}, ctx_.chain(), ext_idx, true);
         const BaseConverter &conv = ctx_.converter(digit_idx, comp_idx);
         std::vector<BaseConverter::ResidueView> digit_res;
         for (unsigned i : digit_idx)
             digit_res.push_back(d_coeff.residue(i));
-        std::vector<std::vector<u64>> raised;
+        std::vector<u64 *> raised;
+        for (std::size_t t = 0; t < ext_idx.size(); ++t) {
+            if (!inDigit(ext_idx[t]))
+                raised.push_back(u.residue(t).data());
+        }
         conv.convert(digit_res, raised);
         ops.polyMults += digit_idx.size() +
                          digit_idx.size() * comp_idx.size();
         ops.polyAdds += digit_idx.size() * comp_idx.size();
         ops.ntts += comp_idx.size();
 
-        RnsPoly u(RnsPoly::Uninit{}, ctx_.chain(), ext_idx, true);
         parallelFor(0, ext_idx.size(), [&](std::size_t t) {
             const unsigned ci = ext_idx[t];
-            bool in_digit = std::find(digit_idx.begin(), digit_idx.end(),
-                                      ci) != digit_idx.end();
-            if (in_digit) {
+            if (inDigit(ci)) {
                 // The digit's own residues stay as in the (NTT-form)
                 // input — Listing 1 reuses p[0:L] directly.
                 u.setResidue(t, d.residue(ci));
             } else {
-                std::size_t k = 0;
-                while (comp_idx[k] != ci)
-                    ++k;
-                u.setResidue(t, raised[k]);
                 ctx_.chain().ntt(ci).forward(u.residue(t).data());
             }
         });

@@ -58,13 +58,32 @@ BaseConverter::BaseConverter(const RnsChain &chain,
         srcMax_ = std::max(srcMax_, chain_.modulus(src_[i]));
 }
 
+/** Pointers to the rows of @p rows, sized to @p count rows of n. */
+static std::vector<u64 *>
+rowPointers(std::vector<std::vector<u64>> &rows, std::size_t count,
+            std::size_t n)
+{
+    rows.assign(count, std::vector<u64>(n));
+    std::vector<u64 *> ptrs(count);
+    for (std::size_t j = 0; j < count; ++j)
+        ptrs[j] = rows[j].data();
+    return ptrs;
+}
+
 void
 BaseConverter::convert(const std::vector<ResidueView> &in,
                        std::vector<std::vector<u64>> &out) const
 {
+    convert(in, rowPointers(out, dst_.size(), chain_.n()));
+}
+
+void
+BaseConverter::convert(const std::vector<ResidueView> &in,
+                       std::span<u64 *const> out) const
+{
     if (!fusionEnabled()) {
         std::vector<std::vector<u64>> scaled;
-        convertKeepScaled(in, scaled, out);
+        convertUntiled(in, scaled, out);
         return;
     }
 
@@ -81,6 +100,8 @@ BaseConverter::convert(const std::vector<ResidueView> &in,
     const std::size_t n = chain_.n();
     CL_ASSERT(in.size() == ls, "base conversion: got ", in.size(),
               " source residues, expected ", ls);
+    CL_ASSERT(out.size() == ld, "base conversion: got ", out.size(),
+              " destination rows, expected ", ld);
 
     const KernelTable &K = kernels();
     countMults(ls + ls * ld);
@@ -97,7 +118,6 @@ BaseConverter::convert(const std::vector<ResidueView> &in,
     block = std::min(block, n);
     const std::size_t n_blocks = (n + block - 1) / block;
 
-    out.assign(ld, std::vector<u64>(n));
     parallelFor(0, n_blocks, [&](std::size_t b) {
         const std::size_t off = b * block;
         const std::size_t len = std::min(block, n - off);
@@ -114,7 +134,7 @@ BaseConverter::convert(const std::vector<ResidueView> &in,
         }
         for (std::size_t j = 0; j < ld; ++j) {
             const u64 pj = chain_.modulus(dst_[j]);
-            K.baseconvMacVec(out[j].data() + off, xs.data(),
+            K.baseconvMacVec(out[j] + off, xs.data(),
                              qHatT_[j].data(), ls, len, pj, srcMax_);
         }
     });
@@ -133,11 +153,21 @@ BaseConverter::convertKeepScaled(const std::vector<ResidueView> &in,
                                  std::vector<std::vector<u64>> &scaled,
                                  std::vector<std::vector<u64>> &out) const
 {
+    convertUntiled(in, scaled, rowPointers(out, dst_.size(), chain_.n()));
+}
+
+void
+BaseConverter::convertUntiled(const std::vector<ResidueView> &in,
+                              std::vector<std::vector<u64>> &scaled,
+                              std::span<u64 *const> out) const
+{
     const std::size_t ls = src_.size();
     const std::size_t ld = dst_.size();
     const std::size_t n = chain_.n();
     CL_ASSERT(in.size() == ls, "base conversion: got ", in.size(),
               " source residues, expected ", ls);
+    CL_ASSERT(out.size() == ld, "base conversion: got ", out.size(),
+              " destination rows, expected ", ld);
 
     const KernelTable &K = kernels();
 
@@ -170,12 +200,11 @@ BaseConverter::convertKeepScaled(const std::vector<ResidueView> &in,
     for (std::size_t i = 0; i < ls; ++i)
         xs[i] = scaled[i].data();
 
-    out.assign(ld, std::vector<u64>(n));
     parallelFor(
         0, ld,
         [&](std::size_t j) {
             const u64 pj = chain_.modulus(dst_[j]);
-            K.baseconvMacVec(out[j].data(), xs.data(), qHatT_[j].data(),
+            K.baseconvMacVec(out[j], xs.data(), qHatT_[j].data(),
                              ls, n, pj, srcMax_);
         },
         parallelGrain(ls * n));

@@ -56,6 +56,14 @@ class BaseConverter
     void convert(const std::vector<ResidueView> &in,
                  std::vector<std::vector<u64>> &out) const;
 
+    /**
+     * Convert @p in into caller-owned rows: @p out[j] points at N
+     * writable words for destination tower j, such as a tower of an
+     * RnsPoly, so the result needs no copy. Same values as above.
+     */
+    void convert(const std::vector<ResidueView> &in,
+                 std::span<u64 *const> out) const;
+
     /** Convenience overload for owned residue vectors. */
     void convert(const std::vector<std::vector<u64>> &in,
                  std::vector<std::vector<u64>> &out) const;
@@ -77,6 +85,12 @@ class BaseConverter
     }
 
   private:
+    /** The untiled two-pass conversion: scale every source tower into
+     *  @p scaled, then one MAC row per destination into @p out. */
+    void convertUntiled(const std::vector<ResidueView> &in,
+                        std::vector<std::vector<u64>> &scaled,
+                        std::span<u64 *const> out) const;
+
     const RnsChain &chain_;
     std::vector<unsigned> src_;
     std::vector<unsigned> dst_;

@@ -18,6 +18,7 @@ namespace simd {
 const KernelTable *scalarTable();
 const KernelTable *avx2Table();
 const KernelTable *avx512Table();
+const KernelTable *avx512IfmaTable();
 
 } // namespace simd
 
@@ -43,6 +44,16 @@ cpuSupports(SimdBackend b)
     return false;
 }
 
+bool
+cpuSupportsIfma()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    return __builtin_cpu_supports("avx512ifma");
+#else
+    return false;
+#endif
+}
+
 const KernelTable *
 compiledTable(SimdBackend b)
 {
@@ -51,8 +62,15 @@ compiledTable(SimdBackend b)
         return simd::scalarTable();
     case SimdBackend::Avx2:
         return simd::avx2Table();
-    case SimdBackend::Avx512:
-        return simd::avx512Table();
+    case SimdBackend::Avx512: {
+        // The IFMA table runs only where CPUID reports avx512ifma; an
+        // AVX-512F-only CPU never reaches an IFMA instruction.
+        static const KernelTable *const avx512 =
+            cpuSupportsIfma() && simd::avx512IfmaTable()
+                ? simd::avx512IfmaTable()
+                : simd::avx512Table();
+        return avx512;
+    }
     }
     return nullptr;
 }
@@ -131,14 +149,28 @@ kernelTableFor(SimdBackend backend)
     return compiledTable(backend);
 }
 
+const KernelTable *
+avx512fKernelTable()
+{
+    if (!cpuSupports(SimdBackend::Avx512))
+        return nullptr;
+    return simd::avx512Table();
+}
+
 bool
 setSimdBackend(SimdBackend backend)
 {
     const KernelTable *t = kernelTableFor(backend);
     if (!t)
         return false;
-    g_active.store(t, std::memory_order_release);
+    setKernelTable(*t);
     return true;
+}
+
+void
+setKernelTable(const KernelTable &table)
+{
+    g_active.store(&table, std::memory_order_release);
 }
 
 namespace {

@@ -10,8 +10,10 @@
  *
  *  - `scalar`  — the reference loops (exactly the pre-SIMD code).
  *  - `avx2`    — 4 lanes of 64-bit residues, 32x32->64 multiplies.
- *  - `avx512`  — 8 lanes, mask registers, and exact 64x64-bit lane
- *                products for the wide (q >= 2^30) CKKS primes.
+ *  - `avx512`  — 8 lanes, mask registers, exact 64x64-bit lane
+ *                products for the wide (q >= 2^30) CKKS primes, and
+ *                52-bit IFMA products below 2^50 on CPUs with
+ *                avx512ifma.
  *
  * Selection is CPUID-driven (best supported backend wins) and can be
  * overridden with `CL_SIMD=scalar|avx2|avx512`, mirroring CL_THREADS:
@@ -34,17 +36,27 @@
  *
  * ## Modulus-width gating
  *
- * Which arithmetic runs depends on the modulus width:
+ * Which arithmetic runs depends on the modulus width; each
+ * multiply-class kernel takes the first tier that fits:
  *
  *  - `avx512`, q < 2^30 (CraterLake's 28-bit datapath primes, Sec
  *    5.5): every lazy operand stays below 4q < 2^32, so one 32x32->64
  *    `vpmuludq` forms an exact product and the 64-bit Shoup/Barrett
  *    quotients split into two 32-bit multiplies.
- *  - `avx512`, 2^30 <= q < 2^62 (the 40-62-bit CKKS primes): exact
- *    64x64-bit lane products, each assembled from three (low word)
- *    or four (high word) `vpmuludq`. Every multiply-class kernel has
- *    this wide branch; the narrow one stays because it is faster for
- *    the primes it covers.
+ *  - `avx512` on a CPU with avx512ifma, q < 2^50 (every prime of the
+ *    logN 12-15 CKKS chains): every lazy operand stays below
+ *    4q < 2^52, one IFMA limb, so `vpmadd52luq`/`vpmadd52huq` form
+ *    exact 104-bit products. The Shoup quotient floor(x*wPrec/2^64)
+ *    splits wPrec at bit 52 and stays exact (kernels_avx512_impl.h).
+ *    The base-conversion MAC also needs its sources below 2^52, the
+ *    rescale kernels the dropped ql below 2^52. These kernels live
+ *    in a translation unit of their own built with -mavx512ifma; the
+ *    -mavx512f one holds no IFMA instruction, and the IFMA table is
+ *    picked only when CPUID reports avx512ifma.
+ *  - `avx512`, 2^30 <= q < 2^62 otherwise (the 55-62-bit primes, and
+ *    every wide prime without IFMA): exact 64x64-bit lane products,
+ *    each assembled from three (low word) or four (high word)
+ *    `vpmuludq`.
  *  - `avx2` runs only the narrow arithmetic; for q >= 2^30 its
  *    multiply-class kernels delegate to the scalar reference, which
  *    is trivially bit-identical.
@@ -53,8 +65,7 @@
  * width on both backends, as does `avx512`'s NTT correction pass. The
  * NTT's short-block stages (t < 8) run as one table entry per
  * direction; `avx512` shuffles 8 of their butterflies into each
- * vector, the other backends run the scalar loop. A later
- * backend (GPU, ISPC, AVX-512 IFMA) slots into the same table.
+ * vector, the other backends run the scalar loop.
  */
 
 #ifndef CL_RNS_SIMD_KERNELS_H
@@ -163,9 +174,10 @@ struct KernelTable
      * y[k] = sum_i (xs[i][k] mod q) * cs[i]  mod q, with cs[i] < q.
      * @p x_bound is an exclusive upper bound on every xs value (the
      * largest source modulus). `avx512` takes its narrow path when q
-     * < 2^30 and x_bound <= 2^32, and otherwise its wide path (one
-     * Shoup multiply per term, exact for any xs value); `avx2` has
-     * only the narrow path and runs the scalar reference otherwise.
+     * < 2^30 and x_bound <= 2^32, and otherwise one Shoup multiply
+     * per term (IFMA when q < 2^50 and x_bound <= 2^52, else wide,
+     * exact for any xs value); `avx2` has only the narrow path and
+     * runs the scalar reference, the same Shoup formula, otherwise.
      */
     void (*baseconvMacVec)(u64 *y, const u64 *const *xs, const u64 *cs,
                            std::size_t ls, std::size_t n, u64 q,
@@ -298,10 +310,22 @@ SimdBackend activeSimdBackend();
  *  in or not supported by this CPU (tests/benchmarks). */
 const KernelTable *kernelTableFor(SimdBackend backend);
 
+/** The `avx512` backend without its IFMA lane arithmetic — exactly
+ *  the table an AVX-512F-only CPU runs — or nullptr when this CPU
+ *  lacks AVX-512F. On a CPU without IFMA it is kernelTableFor(Avx512)
+ *  itself; on one with IFMA, tests use it to keep the AVX-512F wide
+ *  arithmetic covered. */
+const KernelTable *avx512fKernelTable();
+
 /** Switch the active backend; returns false (and changes nothing)
  *  when the backend is unavailable. Must not race with in-flight
  *  kernels (tests/benchmarks sweeping backends). */
 bool setSimdBackend(SimdBackend backend);
+
+/** Install @p table, one of the tables above, as the active table
+ *  (tests sweeping avx512fKernelTable()). Same rules as
+ *  setSimdBackend. */
+void setKernelTable(const KernelTable &table);
 
 /** Human-readable backend name ("scalar", "avx2", "avx512"). */
 const char *simdBackendName(SimdBackend backend);

@@ -1,10 +1,13 @@
 /**
  * @file
  * Scalar reference implementations of every kernel in the dispatch
- * table — exactly the loops the library ran before the SIMD backend
- * existed. The scalar table points straight at these; the vector
- * backends call them for loop tails, and AVX2 also for wide moduli,
- * which makes the bit-identity argument trivial off its narrow path.
+ * table — the loops the library ran before the SIMD backend existed,
+ * except baseconvMacVec, which now uses the vector backends' Shoup
+ * formula (the division loop it replaced is the oracle in
+ * test_simd.cpp). The scalar table points straight at these; the
+ * vector backends call them for loop tails, and AVX2 also for wide
+ * moduli, which makes the bit-identity argument trivial off its
+ * narrow path.
  *
  * Internal header: only the backend translation units include it.
  */
@@ -79,40 +82,29 @@ subMulShoupVec(u64 *dst, const u64 *hi, const u64 *lo, std::size_t n,
     }
 }
 
+/** One Shoup multiply per term with the pair (c, floor(c*2^64/q)),
+ *  exact for any source value < 2^64 (so no x mod q), accumulated
+ *  lazily in [0, 2q) and folded once — the formula of the AVX-512 MAC.
+ *  The output is canonical, as a division loop's would be. */
 inline void
 baseconvMacVec(u64 *y, const u64 *const *xs, const u64 *cs,
                std::size_t ls, std::size_t n, u64 q, u64 /*x_bound*/)
 {
-    // The 128-bit accumulator holds at most reduce_every products of
-    // two values < q before a reduction is forced, so it can never
-    // wrap even for 62-bit moduli. Narrow moduli (q_bits <= 31) allow
-    // 2^64 or more products — more than any term count — so the
-    // mid-loop reduction never fires; the shift must be clamped there
-    // (shifting by >= 64 is undefined, a latent bug in the pre-SIMD
-    // version of this loop for sub-32-bit destination moduli).
-    const unsigned q_bits = 64 - __builtin_clzll(q);
-    const std::size_t reduce_every =
-        q_bits >= 60   ? 8
-        : q_bits <= 31 ? ~std::size_t{0}
-                       : std::size_t{1} << (126 - 2 * q_bits);
     // The tiled base conversion calls this once per block per
     // destination tower: reuse one buffer per worker thread.
-    static thread_local std::vector<u128> acc;
-    acc.assign(n, 0);
-    std::size_t since_reduce = 0;
-    for (std::size_t i = 0; i < ls; ++i) {
-        const u64 c = cs[i];
-        const u64 *x = xs[i];
-        for (std::size_t k = 0; k < n; ++k)
-            acc[k] += (u128)(x[k] % q) * c;
-        if (++since_reduce >= reduce_every && i + 1 < ls) {
-            for (std::size_t k = 0; k < n; ++k)
-                acc[k] %= q;
-            since_reduce = 0;
+    static thread_local std::vector<ShoupMul> terms;
+    terms.resize(ls);
+    for (std::size_t i = 0; i < ls; ++i)
+        terms[i] = ShoupMul(cs[i], q);
+    const u64 two_q = 2 * q;
+    for (std::size_t k = 0; k < n; ++k) {
+        u64 acc = 0;
+        for (std::size_t i = 0; i < ls; ++i) {
+            acc += terms[i].mulLazy(xs[i][k], q);
+            acc -= two_q * (acc >= two_q);
         }
+        y[k] = acc >= q ? acc - q : acc;
     }
-    for (std::size_t k = 0; k < n; ++k)
-        y[k] = static_cast<u64>(acc[k] % q);
 }
 
 inline void

@@ -3,9 +3,9 @@
  * Property tests for the fused pipeline kernels (DESIGN.md §5e):
  * every fused kernel must be bit-identical to the composed sequence
  * of primitive kernels it replaces — including the Harvey lazy
- * representatives — on every available backend, for every named
- * prime width, on random inputs and on the lazy-reduction boundary
- * values q-1, 2q-1, 4q-1.
+ * representatives — on every available table, for every named prime
+ * width (and rescale ql widths either side of 2^52), on random inputs
+ * and on the lazy-reduction boundary values q-1, 2q-1, 4q-1.
  */
 
 #include <gtest/gtest.h>
@@ -17,20 +17,12 @@
 #include "rns/simd/kernels.h"
 #include "util/prng.h"
 
+#include "kernel_test_util.h"
+
 namespace {
 
 using namespace cl;
-
-/** Restores the active backend on scope exit. */
-class BackendGuard
-{
-  public:
-    BackendGuard() : saved_(activeSimdBackend()) {}
-    ~BackendGuard() { setSimdBackend(saved_); }
-
-  private:
-    SimdBackend saved_;
-};
+using namespace cl::test;
 
 /** Restores the fusion gate on scope exit. */
 class FusionGuard
@@ -43,51 +35,35 @@ class FusionGuard
     bool saved_;
 };
 
-std::vector<SimdBackend>
-allBackends()
+/** The rescale kernels' (q, ql) width pairs: each named width with a
+ *  second prime of the same width as ql, plus ql straddling 2^52 (the
+ *  IFMA gate on ql) with q below 2^50, and a narrow q under a wide ql. */
+struct RescaleWidths
 {
-    std::vector<SimdBackend> v{SimdBackend::Scalar};
-    for (SimdBackend b : {SimdBackend::Avx2, SimdBackend::Avx512}) {
-        if (kernelTableFor(b))
-            v.push_back(b);
-    }
+    unsigned q_bits, ql_bits;
+};
+
+std::vector<RescaleWidths>
+rescaleWidths()
+{
+    std::vector<RescaleWidths> v;
+    for (unsigned bits : kPrimeWidths)
+        v.push_back({bits, bits});
+    for (RescaleWidths w : {RescaleWidths{50, 52}, RescaleWidths{50, 53},
+                            RescaleWidths{49, 52}, RescaleWidths{40, 53},
+                            RescaleWidths{28, 40}})
+        v.push_back(w);
     return v;
 }
 
-/** As in test_simd.cpp: the hardware and CKKS widths plus both sides
- *  of the narrow/wide switch at 2^30 and the 61/62-bit extremes. */
-const unsigned kPrimeWidths[] = {28, 30, 31, 40, 50, 55, 60, 61, 62};
-
-u64
-primeOfWidth(unsigned bits, std::size_t n = 1 << 10)
-{
-    return generateNttPrimes(bits, n, 1)[0];
-}
-
-/** Two distinct primes of the same width (q and the dropped ql). */
+/** q and the dropped ql: distinct primes of the requested widths. */
 std::pair<u64, u64>
-primePair(unsigned bits, std::size_t n = 1 << 10)
+primePair(RescaleWidths w)
 {
-    const auto p = generateNttPrimes(bits, n, 2);
-    return {p[0], p[1]};
-}
-
-std::vector<u64>
-randomVec(std::size_t n, u64 bound, u64 seed,
-          std::initializer_list<u64> boundary = {})
-{
-    std::vector<u64> v(n);
-    FastRng rng(seed);
-    for (auto &x : v)
-        x = rng.nextBelow(bound);
-    std::size_t i = 0;
-    for (u64 b : boundary) {
-        if (i < n)
-            v[i++] = b;
-        if (i + 5 < n)
-            v[i + 5] = b;
-    }
-    return v;
+    const auto p = largestPrimes(w.q_bits, 2);
+    if (w.ql_bits == w.q_bits)
+        return {p[0], p[1]};
+    return {p[0], primeOfWidth(w.ql_bits)};
 }
 
 // Odd lengths force every kernel's scalar tail path.
@@ -126,10 +102,10 @@ composedRescale(std::vector<u64> a, const std::vector<u64> &xl,
     return a;
 }
 
-class FusedKernelTest : public ::testing::TestWithParam<SimdBackend>
+class FusedKernelTest : public ::testing::TestWithParam<TableId>
 {
   protected:
-    const KernelTable &vec() { return *kernelTableFor(GetParam()); }
+    const KernelTable &vec() { return *tableFor(GetParam()); }
 };
 
 TEST_P(FusedKernelTest, InvScaleButterflyMatchesComposed)
@@ -165,8 +141,10 @@ TEST_P(FusedKernelTest, InvScaleButterflyMatchesComposed)
 
 TEST_P(FusedKernelTest, RescaleEpilogueMatchesComposed)
 {
-    for (unsigned bits : kPrimeWidths) {
-        const auto [q, ql] = primePair(bits);
+    for (RescaleWidths rw : rescaleWidths()) {
+        const auto [q, ql] = primePair(rw);
+        // Seed salt: the q width alone for same-width pairs.
+        const unsigned bits = rw.q_bits + 64 * (rw.ql_bits - rw.q_bits);
         for (std::size_t n : kLens) {
             const auto xl =
                 randomVec(n, ql, 227 * bits + n, {ql - 1, 0});
@@ -179,7 +157,7 @@ TEST_P(FusedKernelTest, RescaleEpilogueMatchesComposed)
                 const auto expect = composedRescale(a, xl, rc, q);
                 vec().rescaleEpilogueVec(a.data(), xl.data(), n, &rc, q);
                 ASSERT_EQ(a, expect)
-                    << "ntt path bits=" << bits << " n=" << n;
+                    << "ntt path q_bits=" << rw.q_bits << " ql_bits=" << rw.ql_bits << " n=" << n;
             }
 
             // Coeff path: canonical input, identity Shoup pair {1, .}.
@@ -190,7 +168,7 @@ TEST_P(FusedKernelTest, RescaleEpilogueMatchesComposed)
                 const auto expect = composedRescale(a, xl, rc, q);
                 vec().rescaleEpilogueVec(a.data(), xl.data(), n, &rc, q);
                 ASSERT_EQ(a, expect)
-                    << "coeff path bits=" << bits << " n=" << n;
+                    << "coeff path q_bits=" << rw.q_bits << " ql_bits=" << rw.ql_bits << " n=" << n;
 
                 // The identity pair really is the identity: the fold
                 // step of composedRescale must not have changed a.
@@ -210,8 +188,10 @@ TEST_P(FusedKernelTest, RescaleNttFwdButterflyMatchesComposed)
     // both halves followed by nttFwdButterflyVec (whose [0,4q)->[0,2q)
     // fold is a no-op on the canonical corrected values).
     const KernelTable &R = *kernelTableFor(SimdBackend::Scalar);
-    for (unsigned bits : kPrimeWidths) {
-        const auto [q, ql] = primePair(bits);
+    for (RescaleWidths rw : rescaleWidths()) {
+        const auto [q, ql] = primePair(rw);
+        // Seed salt: the q width alone for same-width pairs.
+        const unsigned bits = rw.q_bits + 64 * (rw.ql_bits - rw.q_bits);
         const ShoupMul w(q / 5 + 3, q);
         const auto rc = makeConsts(q, ql, invMod(1024 % q, q));
         for (std::size_t t : kLens) {
@@ -233,8 +213,10 @@ TEST_P(FusedKernelTest, RescaleNttFwdButterflyMatchesComposed)
             vec().rescaleNttFwdButterflyVec(x2.data(), y2.data(),
                                             xlx.data(), xly.data(), t,
                                             &rc, w.w, w.wPrec, q);
-            ASSERT_EQ(x1, x2) << "bits=" << bits << " t=" << t;
-            ASSERT_EQ(y1, y2) << "bits=" << bits << " t=" << t;
+            ASSERT_EQ(x1, x2) << "q_bits=" << rw.q_bits
+                                << " ql_bits=" << rw.ql_bits << " t=" << t;
+            ASSERT_EQ(y1, y2) << "q_bits=" << rw.q_bits
+                                << " ql_bits=" << rw.ql_bits << " t=" << t;
         }
     }
 }
@@ -274,9 +256,9 @@ TEST_P(FusedKernelTest, WholeInverseNttFusedMatchesComposed)
     // NttTables::inverse with fusion on (last GS stage fused with the
     // scale) must be bit-identical to the composed inverse, and both
     // must round-trip forward.
-    BackendGuard backend_guard;
+    TableGuard table_guard;
     FusionGuard fusion_guard;
-    ASSERT_TRUE(setSimdBackend(GetParam()));
+    setKernelTable(vec());
     const std::size_t n = 1 << 12;
     for (unsigned bits : {28u, 50u}) {
         const u64 q = generateNttPrimes(bits, n, 1)[0];
@@ -304,9 +286,9 @@ TEST_P(FusedKernelTest, ForwardRescaleMatchesComposedPipeline)
     // forwardRescale must equal inverse (canonical), composed
     // correction, forward — the exact sequence the unfused
     // rescaleLastTower runs per tower.
-    BackendGuard backend_guard;
+    TableGuard table_guard;
     FusionGuard fusion_guard;
-    ASSERT_TRUE(setSimdBackend(GetParam()));
+    setKernelTable(vec());
     const std::size_t n = 1 << 12;
     for (unsigned bits : {28u, 50u}) {
         auto primes = generateNttPrimes(bits, n, 2);
@@ -339,9 +321,9 @@ TEST_P(FusedKernelTest, ForwardRescaleMatchesComposedPipeline)
 
 INSTANTIATE_TEST_SUITE_P(
     AvailableBackends, FusedKernelTest,
-    ::testing::ValuesIn(allBackends()),
-    [](const ::testing::TestParamInfo<SimdBackend> &info) {
-        return simdBackendName(info.param);
+    ::testing::ValuesIn(availableTables(true)),
+    [](const ::testing::TestParamInfo<TableId> &info) {
+        return tableName(info.param);
     });
 
 TEST(FusionGate, SetAndRestore)

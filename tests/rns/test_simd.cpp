@@ -1,18 +1,19 @@
 /**
  * @file
- * Property tests for the SIMD kernel backends: every vector backend
- * available on this host must be bit-identical to the scalar
- * reference on every kernel, for every named prime width (28-bit
- * hardware primes, the 40-62-bit CKKS primes, and the 30/31-bit pair
- * either side of the narrow/wide arithmetic switch at 2^30), on
- * random inputs and on the lazy-reduction boundary values q-1, 2q-1,
- * 4q-1.
+ * Property tests for the SIMD kernel backends: every vector table
+ * available on this host (on IFMA CPUs also the AVX-512 table without
+ * IFMA) must be bit-identical to the scalar reference on every kernel,
+ * for every named prime width (28-bit hardware primes, the 40-62-bit
+ * CKKS primes, and the pairs either side of the narrow/wide switch at
+ * 2^30 and the IFMA switch at 2^50), on random inputs and on the
+ * lazy-reduction boundary values q-1, 2q-1, 4q-1.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "poly/rnspoly.h"
@@ -21,71 +22,114 @@
 #include "rns/simd/kernels.h"
 #include "util/prng.h"
 
+#include "kernel_test_util.h"
+
 namespace {
 
 using namespace cl;
+using namespace cl::test;
 
-/** Restores the active backend on scope exit, so a failing test can't
- *  leak its backend override into later tests. */
-class BackendGuard
+/** The oracle for baseconvMacVec: the loop the scalar table ran before
+ *  it switched to one Shoup multiply per term — a 64-bit % per term
+ *  and a 128-bit % per coefficient, sharing no code with any table. */
+std::vector<u64>
+baseconvMacOracle(const std::vector<const u64 *> &xs,
+                  const std::vector<u64> &cs, std::size_t n, u64 q)
 {
-  public:
-    BackendGuard() : saved_(activeSimdBackend()) {}
-    ~BackendGuard() { setSimdBackend(saved_); }
+    // A 128-bit accumulator holds 2^(128 - 2*q_bits) products of
+    // values < q before it can wrap; reduce before that.
+    const unsigned q_bits = 64 - __builtin_clzll(q);
+    const std::size_t reduce_every =
+        q_bits >= 60   ? 8
+        : q_bits <= 31 ? ~std::size_t{0}
+                       : std::size_t{1} << (126 - 2 * q_bits);
+    std::vector<u128> acc(n, 0);
+    std::size_t since_reduce = 0;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        for (std::size_t k = 0; k < n; ++k)
+            acc[k] += (u128)(xs[i][k] % q) * cs[i];
+        if (++since_reduce >= reduce_every) {
+            for (std::size_t k = 0; k < n; ++k)
+                acc[k] %= q;
+            since_reduce = 0;
+        }
+    }
+    std::vector<u64> y(n);
+    for (std::size_t k = 0; k < n; ++k)
+        y[k] = static_cast<u64>(acc[k] % q);
+    return y;
+}
 
-  private:
-    SimdBackend saved_;
+struct MacShape
+{
+    unsigned src_bits, dst_bits;
 };
 
-std::vector<SimdBackend>
-vectorBackends()
+const MacShape kMacShapes[] = {
+    {28, 28}, {28, 50}, {50, 28}, {50, 50}, {52, 50}, {51, 49},
+    {53, 49}, {60, 60}, {60, 40}, {62, 31}, {55, 50}};
+
+/** One baseconvMacVec input: ls source rows of n values below their
+ *  source primes, and a coefficient row whose first entry is q - 1. */
+struct MacCase
 {
-    std::vector<SimdBackend> v;
-    for (SimdBackend b : {SimdBackend::Avx2, SimdBackend::Avx512}) {
-        if (kernelTableFor(b))
-            v.push_back(b);
+    std::vector<std::vector<u64>> x;
+    std::vector<const u64 *> xs;
+    std::vector<u64> cs;
+    std::size_t n;
+    u64 q, x_bound;
+};
+
+/** Runs @p check on every MAC shape with 1/2/9/17/33 terms and
+ *  n = 5/203, passing a description for failure messages. */
+template <class F>
+void
+forEachMacCase(F &&check)
+{
+    for (MacShape s : kMacShapes) {
+        for (std::size_t ls : {1, 2, 9, 17, 33}) {
+            for (std::size_t n : {5, 203}) {
+                const auto src =
+                    generateNttPrimes(s.src_bits, 1 << 10, ls);
+                MacCase c{std::vector<std::vector<u64>>(ls),
+                          std::vector<const u64 *>(ls),
+                          std::vector<u64>(ls),
+                          n,
+                          primeOfWidth(s.dst_bits),
+                          *std::max_element(src.begin(), src.end())};
+                FastRng rng(71 * s.src_bits + s.dst_bits + 7 * ls + n);
+                for (std::size_t i = 0; i < ls; ++i) {
+                    c.x[i] = randomVec(n, src[i], rng.next64(),
+                                       {src[i] - 1, 0});
+                    c.xs[i] = c.x[i].data();
+                    c.cs[i] = i == 0 ? c.q - 1 : rng.nextBelow(c.q);
+                }
+                check(c, "src_bits=" + std::to_string(s.src_bits) +
+                             " dst_bits=" + std::to_string(s.dst_bits) +
+                             " ls=" + std::to_string(ls) +
+                             " n=" + std::to_string(n));
+            }
+        }
     }
-    return v;
 }
 
-/** The named prime widths used across the repo: the 28-bit hardware
- *  datapath width, the wide CKKS scale/first/special widths, 30/31
- *  bits (the last narrow and first wide primes), and 61/62 bits, where
- *  4q comes within a factor of two of 2^64. */
-const unsigned kPrimeWidths[] = {28, 30, 31, 40, 50, 55, 60, 61, 62};
-
-u64
-primeOfWidth(unsigned bits, std::size_t n = 1 << 10)
+TEST(ScalarKernels, BaseconvMacMatchesDivisionOracle)
 {
-    return generateNttPrimes(bits, n, 1)[0];
+    // The scalar table's Shoup-per-term MAC against the division loop
+    // it replaced; both outputs are canonical, so they must agree.
+    const KernelTable &ref = *kernelTableFor(SimdBackend::Scalar);
+    forEachMacCase([&](const MacCase &c, const std::string &what) {
+        std::vector<u64> y(c.n);
+        ref.baseconvMacVec(y.data(), c.xs.data(), c.cs.data(),
+                           c.xs.size(), c.n, c.q, c.x_bound);
+        ASSERT_EQ(y, baseconvMacOracle(c.xs, c.cs, c.n, c.q)) << what;
+    });
 }
 
-/** Random values < bound, with the boundary values salted in at the
- *  front so every run exercises them at multiple lane positions. */
-std::vector<u64>
-randomVec(std::size_t n, u64 bound, u64 seed,
-          std::initializer_list<u64> boundary = {})
-{
-    std::vector<u64> v(n);
-    FastRng rng(seed);
-    for (auto &x : v)
-        x = rng.nextBelow(bound);
-    std::size_t i = 0;
-    for (u64 b : boundary) {
-        if (i < n)
-            v[i++] = b;
-        // A second copy at an odd offset lands the boundary value in
-        // a different vector lane (and in the scalar tail for small n).
-        if (i + 5 < n)
-            v[i + 5] = b;
-    }
-    return v;
-}
-
-class SimdBackendTest : public ::testing::TestWithParam<SimdBackend>
+class SimdBackendTest : public ::testing::TestWithParam<TableId>
 {
   protected:
-    const KernelTable &vec() { return *kernelTableFor(GetParam()); }
+    const KernelTable &vec() { return *tableFor(GetParam()); }
     const KernelTable &ref()
     {
         return *kernelTableFor(SimdBackend::Scalar);
@@ -245,46 +289,20 @@ TEST_P(SimdBackendTest, BaseconvMacMatchesScalar)
 {
     // Every source/destination width pairing: narrow/narrow takes the
     // 32-bit vector MAC (28-bit rows with many terms force accumulator
-    // flushes), every other pairing the wide Shoup MAC on avx512 and
-    // the scalar reference on avx2. Sources wider than the destination
-    // exercise the Shoup multiply on x >= q. Lengths are not multiples
-    // of 8, so the scalar tails run too.
-    struct Shape
-    {
-        unsigned src_bits, dst_bits;
-    };
-    for (Shape s : {Shape{28, 28}, Shape{28, 50}, Shape{50, 28},
-                    Shape{50, 50}, Shape{60, 60}, Shape{60, 40},
-                    Shape{62, 31}, Shape{55, 50}}) {
-        for (std::size_t ls : {1, 2, 9, 17, 33}) {
-            for (std::size_t n : {5, 203}) {
-                auto src = generateNttPrimes(s.src_bits, 1 << 10, ls);
-                const u64 q = primeOfWidth(s.dst_bits);
-                const u64 x_bound =
-                    *std::max_element(src.begin(), src.end());
-
-                std::vector<std::vector<u64>> x(ls);
-                std::vector<const u64 *> xs(ls);
-                std::vector<u64> cs(ls);
-                FastRng rng(71 * s.src_bits + s.dst_bits + 7 * ls + n);
-                for (std::size_t i = 0; i < ls; ++i) {
-                    x[i] = randomVec(n, src[i], rng.next64(),
-                                     {src[i] - 1, 0});
-                    xs[i] = x[i].data();
-                    cs[i] = i == 0 ? q - 1 : rng.nextBelow(q);
-                }
-                std::vector<u64> y1(n), y2(n);
-                ref().baseconvMacVec(y1.data(), xs.data(), cs.data(), ls,
-                                     n, q, x_bound);
-                vec().baseconvMacVec(y2.data(), xs.data(), cs.data(), ls,
-                                     n, q, x_bound);
-                ASSERT_EQ(y1, y2)
-                    << "src_bits=" << s.src_bits
-                    << " dst_bits=" << s.dst_bits << " ls=" << ls
-                    << " n=" << n;
-            }
-        }
-    }
+    // flushes), every other pairing a Shoup MAC on avx512 (IFMA while
+    // the sources stay below 2^52 and q below 2^50, so {52, 50},
+    // {51, 49} and {53, 49} straddle that gate) and the scalar
+    // reference on avx2. Sources wider than the destination exercise
+    // the Shoup multiply on x >= q. Lengths are not multiples of 8, so
+    // the scalar tails run too.
+    forEachMacCase([&](const MacCase &c, const std::string &what) {
+        std::vector<u64> y1(c.n), y2(c.n);
+        ref().baseconvMacVec(y1.data(), c.xs.data(), c.cs.data(),
+                             c.xs.size(), c.n, c.q, c.x_bound);
+        vec().baseconvMacVec(y2.data(), c.xs.data(), c.cs.data(),
+                             c.xs.size(), c.n, c.q, c.x_bound);
+        ASSERT_EQ(y1, y2) << what;
+    });
 }
 
 TEST_P(SimdBackendTest, GatherMatchesScalar)
@@ -310,10 +328,10 @@ TEST_P(SimdBackendTest, WholeNttTransformMatchesScalar)
     // representatives forwardLazy/inverseLazy leave. N = 8 takes the
     // scalar short-stage loop, N = 16 is one chunk of the in-register
     // short stages, and N = 2^15 is the hom-ops ring.
-    BackendGuard guard;
+    TableGuard guard;
     for (unsigned logn : {3u, 4u, 15u}) {
         const std::size_t n = std::size_t{1} << logn;
-        for (unsigned bits : {28u, 40u, 50u, 55u, 62u}) {
+        for (unsigned bits : {28u, 40u, 49u, 50u, 51u, 55u, 62u}) {
             const u64 q = generateNttPrimes(bits, n, 1)[0];
             NttTables tables(n, q);
             const auto input =
@@ -330,7 +348,7 @@ TEST_P(SimdBackendTest, WholeNttTransformMatchesScalar)
             auto a_inv_lazy = a; // inverseLazy takes [0, 2q)
             tables.inverseLazy(a_inv_lazy.data());
 
-            ASSERT_TRUE(setSimdBackend(GetParam()));
+            setKernelTable(vec());
             auto b = input;
             tables.forward(b.data());
             ASSERT_EQ(a, b) << "forward logN=" << logn << " bits=" << bits;
@@ -353,7 +371,7 @@ TEST_P(SimdBackendTest, RnsPolyOpsMatchScalar)
 {
     // A realistic operation chain through RnsPoly under each backend:
     // NTT, multiply, scalar multiply, automorphism, add, inverse NTT.
-    BackendGuard guard;
+    TableGuard guard;
     const std::size_t n = 1 << 10;
     auto primes = generateNttPrimes(28, n, 2);
     auto wide = generateNttPrimes(50, n, 1);
@@ -361,8 +379,8 @@ TEST_P(SimdBackendTest, RnsPolyOpsMatchScalar)
     RnsChain chain(n, primes);
     const std::vector<unsigned> idx{0, 1, 2};
 
-    auto run = [&](SimdBackend backend) {
-        EXPECT_TRUE(setSimdBackend(backend));
+    auto run = [&](const KernelTable &table) {
+        setKernelTable(table);
         RnsPoly p(chain, idx, false);
         RnsPoly r(chain, idx, false);
         FastRng rng(2026);
@@ -384,16 +402,16 @@ TEST_P(SimdBackendTest, RnsPolyOpsMatchScalar)
         return p.data();
     };
 
-    const auto scalar_out = run(SimdBackend::Scalar);
-    const auto vec_out = run(GetParam());
+    const auto scalar_out = run(ref());
+    const auto vec_out = run(vec());
     ASSERT_EQ(scalar_out, vec_out);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AvailableBackends, SimdBackendTest,
-    ::testing::ValuesIn(vectorBackends()),
-    [](const ::testing::TestParamInfo<SimdBackend> &info) {
-        return simdBackendName(info.param);
+    ::testing::ValuesIn(availableTables(false)),
+    [](const ::testing::TestParamInfo<TableId> &info) {
+        return tableName(info.param);
     });
 
 // GTest flags an empty ValuesIn; on hosts with no vector backend the
@@ -409,13 +427,16 @@ TEST(SimdDispatch, ScalarTableAlwaysAvailable)
 
 TEST(SimdDispatch, SetAndRestoreBackend)
 {
-    BackendGuard guard;
+    TableGuard guard;
     ASSERT_TRUE(setSimdBackend(SimdBackend::Scalar));
     EXPECT_EQ(activeSimdBackend(), SimdBackend::Scalar);
     EXPECT_STREQ(kernels().name, "scalar");
-    for (SimdBackend b : vectorBackends()) {
+    for (SimdBackend b : {SimdBackend::Avx2, SimdBackend::Avx512}) {
+        if (!kernelTableFor(b))
+            continue;
         ASSERT_TRUE(setSimdBackend(b));
         EXPECT_EQ(activeSimdBackend(), b);
+        EXPECT_EQ(&kernels(), kernelTableFor(b));
     }
 }
 
