@@ -487,38 +487,15 @@ BM_ChangeRnsBase(benchmark::State &state)
 }
 BENCHMARK(BM_ChangeRnsBase)->Arg(4)->Arg(8)->Arg(16);
 
-/** Selects fused/composed for one run per the benchmark arg,
- *  restoring the previous gate on exit. */
-class FusionArg
-{
-  public:
-    FusionArg(benchmark::State &state, int arg_index)
-        : prev_(fusionEnabled()),
-          fused_(state.range(arg_index) != 0)
-    {
-        setFusionEnabled(fused_);
-    }
-    ~FusionArg() { setFusionEnabled(prev_); }
-
-    bool fused() const { return fused_; }
-
-  private:
-    bool prev_;
-    bool fused_;
-};
-
 void
 BM_InvNttScaleStage(benchmark::State &state)
 {
     // The iNTT's final two passes — last Gentleman-Sande stage and the
-    // N^-1 scale — composed (three sweeps over the halves) vs the
-    // fused single-sweep kernel. Args: {backend, fused}.
+    // N^-1 scale — in the fused single-sweep kernel. Arg: backend.
     BackendArg backend(state);
     if (!backend.ok())
         return;
-    FusionArg fuse(state, 1);
-    state.SetLabel(std::string(simdBackendName(backend.backend())) +
-                   (fuse.fused() ? "/fused" : "/composed"));
+    state.SetLabel(simdBackendName(backend.backend()));
     const std::size_t t = 1 << 13; // half of an N=2^14 tower
     const u64 q = generateNttPrimes(28, 2 * t, 1)[0];
     const ShoupMul w(q - 2, q);
@@ -532,41 +509,26 @@ BM_InvNttScaleStage(benchmark::State &state)
     // Outputs are canonical (< q ⊂ [0, 2q)), so repeated application
     // stays within the kernel's input domain.
     for (auto _ : state) {
-        if (fuse.fused()) {
-            kernels().nttInvScaleButterflyVec(x.data(), y.data(), t,
-                                              w.w, w.wPrec, n_inv.w,
-                                              n_inv.wPrec, q);
-        } else {
-            kernels().nttInvButterflyVec(x.data(), y.data(), t, w.w,
-                                         w.wPrec, q);
-            kernels().nttScaleInvVec(x.data(), t, n_inv.w, n_inv.wPrec,
-                                     q);
-            kernels().nttScaleInvVec(y.data(), t, n_inv.w, n_inv.wPrec,
-                                     q);
-        }
+        kernels().nttInvScaleButterflyVec(x.data(), y.data(), t, w.w,
+                                          w.wPrec, n_inv.w, n_inv.wPrec,
+                                          q);
         benchmark::DoNotOptimize(x.data());
         benchmark::DoNotOptimize(y.data());
     }
     state.SetItemsProcessed(state.iterations() * t);
 }
-BENCHMARK(BM_InvNttScaleStage)
-    ->Args({kScalar, 0})->Args({kScalar, 1})
-    ->Args({kAvx2, 0})->Args({kAvx2, 1})
-    ->Args({kAvx512, 0})->Args({kAvx512, 1});
+BENCHMARK(BM_InvNttScaleStage)->Arg(kScalar)->Arg(kAvx2)->Arg(kAvx512);
 
 void
 BM_RescaleEpilogue(benchmark::State &state)
 {
     // The coefficient-domain rescale correction for one kept tower:
-    // the composed per-coefficient loop (centered subtract + Shoup
-    // multiply, exactly the CL_FUSE=0 path) vs the fused epilogue
-    // kernel with the identity N^-1 pair. Args: {backend, fused}.
+    // the fused epilogue kernel with the identity N^-1 pair. Arg:
+    // backend.
     BackendArg backend(state);
     if (!backend.ok())
         return;
-    FusionArg fuse(state, 1);
-    state.SetLabel(std::string(simdBackendName(backend.backend())) +
-                   (fuse.fused() ? "/fused" : "/composed"));
+    state.SetLabel(simdBackendName(backend.backend()));
     const std::size_t n = 1 << 14;
     auto primes = generateNttPrimes(28, n, 2);
     const u64 q = primes[0], ql = primes[1];
@@ -582,36 +544,23 @@ BM_RescaleEpilogue(benchmark::State &state)
         xl[i] = rng.nextBelow(ql);
     }
     for (auto _ : state) {
-        if (fuse.fused()) {
-            kernels().rescaleEpilogueVec(a.data(), xl.data(), n, &rc, q);
-        } else {
-            for (std::size_t i = 0; i < n; ++i) {
-                const u64 xl_shift = addMod(xl[i], half, ql);
-                const u64 xl_mod_q = subMod(xl_shift % q, half % q, q);
-                a[i] = ql_inv.mul(subMod(a[i], xl_mod_q, q), q);
-            }
-        }
+        kernels().rescaleEpilogueVec(a.data(), xl.data(), n, &rc, q);
         benchmark::DoNotOptimize(a.data());
     }
     state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_RescaleEpilogue)
-    ->Args({kScalar, 0})->Args({kScalar, 1})
-    ->Args({kAvx2, 0})->Args({kAvx2, 1})
-    ->Args({kAvx512, 0})->Args({kAvx512, 1});
+BENCHMARK(BM_RescaleEpilogue)->Arg(kScalar)->Arg(kAvx2)->Arg(kAvx512);
 
 void
 BM_ModDownEpilogue(benchmark::State &state)
 {
     // The keyswitch mod-down boundary: forward-NTT lazy correction
-    // plus the (acc - x) * P^-1 Shoup pass, composed (two sweeps) vs
-    // fused (one). Args: {backend, fused}.
+    // plus the (acc - x) * P^-1 Shoup pass in one fused sweep. Arg:
+    // backend.
     BackendArg backend(state);
     if (!backend.ok())
         return;
-    FusionArg fuse(state, 1);
-    state.SetLabel(std::string(simdBackendName(backend.backend())) +
-                   (fuse.fused() ? "/fused" : "/composed"));
+    state.SetLabel(simdBackendName(backend.backend()));
     const std::size_t n = 1 << 14;
     const u64 q = generateNttPrimes(28, n, 1)[0];
     const ShoupMul w(q - 7, q);
@@ -622,33 +571,19 @@ BM_ModDownEpilogue(benchmark::State &state)
         acc[i] = rng.nextBelow(q);
     }
     for (auto _ : state) {
-        if (fuse.fused()) {
-            kernels().nttCorrectSubMulShoupVec(dst.data(), acc.data(),
-                                               x.data(), n, w.w,
-                                               w.wPrec, q);
-        } else {
-            kernels().nttCorrectVec(x.data(), n, q);
-            kernels().subMulShoupVec(dst.data(), acc.data(), x.data(),
-                                     n, w.w, w.wPrec, q);
-        }
+        kernels().nttCorrectSubMulShoupVec(dst.data(), acc.data(),
+                                           x.data(), n, w.w, w.wPrec, q);
         benchmark::DoNotOptimize(dst.data());
     }
     state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_ModDownEpilogue)
-    ->Args({kScalar, 0})->Args({kScalar, 1})
-    ->Args({kAvx2, 0})->Args({kAvx2, 1})
-    ->Args({kAvx512, 0})->Args({kAvx512, 1});
+BENCHMARK(BM_ModDownEpilogue)->Arg(kScalar)->Arg(kAvx2)->Arg(kAvx512);
 
 void
 BM_KeySwitchInnerTiled(benchmark::State &state)
 {
-    // changeRNSBase at keyswitch shape (16 -> 16 towers): the tiled
-    // cache-resident pipeline (CL_FUSE default) vs the untiled
-    // scale-then-MAC sequence that round-trips the scaled residues
-    // through memory. Arg: fused.
-    FusionArg fuse(state, 0);
-    state.SetLabel(fuse.fused() ? "fused" : "composed");
+    // changeRNSBase at keyswitch shape (16 -> 16 towers) through the
+    // tiled cache-resident pipeline.
     const std::size_t n = 1 << 14;
     const unsigned ls = 16;
     auto primes = generateNttPrimes(28, n, 2 * ls);
@@ -672,18 +607,14 @@ BM_KeySwitchInnerTiled(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * n * ls * ls); // MACs
 }
-BENCHMARK(BM_KeySwitchInnerTiled)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KeySwitchInnerTiled)->Unit(benchmark::kMillisecond);
 
 void
 BM_RescaleTower(benchmark::State &state)
 {
     // Whole-poly rescale in the NTT domain (the evaluator's hot path
-    // after every multiply): fused per-tower iNTT/correction/NTT
-    // pipeline vs the composed toCoeff / correct / toNtt round trip.
-    // Arg: fused.
-    FusionArg fuse(state, 0);
-    state.SetLabel(fuse.fused() ? "fused" : "composed");
+    // after every multiply): the fused per-tower iNTT/correction/NTT
+    // pipeline.
     const std::size_t n = 1 << 14;
     const unsigned towers = 8;
     auto primes = generateNttPrimes(28, n, towers);
@@ -707,8 +638,7 @@ BM_RescaleTower(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * (towers - 1) * n);
 }
-BENCHMARK(BM_RescaleTower)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RescaleTower)->Unit(benchmark::kMillisecond);
 
 void
 BM_KshGenExpansion(benchmark::State &state)

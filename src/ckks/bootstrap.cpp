@@ -316,30 +316,7 @@ Bootstrapper::mulI(const Ciphertext &ct) const
 }
 
 Bootstrapper::DiagCache
-Bootstrapper::buildDiagonals(const DftStage &st, unsigned level,
-                             bool need_ext) const
-{
-    const double p_scale =
-        static_cast<double>(ctx_.chain().modulus(level - 1));
-    DiagCache dc;
-    dc.ptData.resize(st.offsets.size());
-
-    // Diagonals encode independently: each index writes only its own
-    // slot, so the cache is the same at any worker count.
-    parallelFor(0, dc.ptData.size(), [&](std::size_t i) {
-        RnsPoly pt = encoder_.encode(st.diags[i], p_scale, level);
-        pt.toNtt();
-        ctx_.ops().ntts += pt.towers();
-        dc.ptData[i] = std::move(pt);
-    });
-    if (need_ext)
-        addExtDiagonals(st, level, dc);
-    return dc;
-}
-
-void
-Bootstrapper::addExtDiagonals(const DftStage &st, unsigned level,
-                              DiagCache &dc) const
+Bootstrapper::buildDiagonals(const DftStage &st, unsigned level) const
 {
     const double p_scale =
         static_cast<double>(ctx_.chain().modulus(level - 1));
@@ -349,168 +326,137 @@ Bootstrapper::addExtDiagonals(const DftStage &st, unsigned level,
     for (unsigned i : ctx_.specialIdx())
         ext_idx.push_back(i);
 
+    DiagCache dc;
+    dc.ptData.resize(st.offsets.size());
     dc.ptExt.resize(st.offsets.size());
-    parallelFor(0, dc.ptExt.size(), [&](std::size_t i) {
+    // Diagonals encode independently: each index writes only its own
+    // slots, so the cache is the same at any worker count.
+    parallelFor(0, st.offsets.size(), [&](std::size_t i) {
+        RnsPoly pt = encoder_.encode(st.diags[i], p_scale, level);
+        pt.toNtt();
         RnsPoly pe = encoder_.encode(st.diags[i], p_scale, ext_idx);
         pe.toNtt();
-        ctx_.ops().ntts += pe.towers();
+        ctx_.ops().ntts += pt.towers() + pe.towers();
+        dc.ptData[i] = std::move(pt);
         dc.ptExt[i] = std::move(pe);
     });
-    dc.hasExt = true;
+    return dc;
 }
 
 const Bootstrapper::DiagCache &
-Bootstrapper::diagonals(int which, std::size_t s, unsigned level,
-                        bool need_ext) const
+Bootstrapper::diagonals(int which, std::size_t s, unsigned level) const
 {
     // Serializes concurrent first builds of the same (stage, level)
     // entry; after warmup every call is a map lookup under the lock.
     // Returned references stay valid outside the lock because map
-    // nodes are stable and an entry's ptData never change once built:
-    // a need_ext caller that finds an entry without ext-basis
-    // plaintexts fills ptExt in place, which no reader of the
-    // data-basis plaintexts touches, and only then sets hasExt.
+    // nodes are stable and an entry never changes once built.
     std::lock_guard<std::mutex> lock(diagMutex_);
-    const DftStage &st = transforms_[which][s];
     const auto key = std::make_tuple(which, s, level);
     auto it = diagCache_.find(key);
     if (it == diagCache_.end())
-        it = diagCache_.emplace(key, buildDiagonals(st, level, need_ext))
+        it = diagCache_
+                 .emplace(key, buildDiagonals(transforms_[which][s], level))
                  .first;
-    else if (need_ext && !it->second.hasExt)
-        addExtDiagonals(st, level, it->second);
     return it->second;
 }
 
 Ciphertext
 Bootstrapper::stageTransform(const Ciphertext &ct, int which,
-                             std::size_t s, LinearTransformMode mode) const
+                             std::size_t s) const
 {
     const std::vector<std::size_t> &offsets = transforms_[which][s].offsets;
     const unsigned level = ct.level();
     const double p_scale =
         static_cast<double>(ct.c0.modulus(level - 1));
-    const bool lazy = mode == LinearTransformMode::HoistedLazy;
     OpCounter &ops = ctx_.ops();
-
-    DiagCache local;
-    const DiagCache *dc;
-    if (params_.cacheDiagonals) {
-        dc = &diagonals(which, s, level, lazy);
-    } else {
-        local = buildDiagonals(transforms_[which][s], level, lazy);
-        dc = &local;
-    }
+    const DiagCache &dc = diagonals(which, s, level);
 
     // A stage has few diagonals (<= 2^(r+1) - 1 for r merged butterfly
     // levels), so every nonzero offset is a rotation of the input: the
     // BSGS baby dimension is the slot count and there is one unrotated
     // giant step. Offsets ascend, so only offsets[0] can be 0.
     const std::size_t first = offsets[0] == 0 ? 1 : 0;
+    const std::size_t count = offsets.size();
 
-    // Hoisted modes: lift the digits of c1 once; every rotation reuses
-    // them. All hints share the context-default digit size.
+    // Lift the digits of c1 once; every rotation reuses them. All
+    // hints share the context-default digit size.
     KeySwitchDigits digits;
-    if (mode != LinearTransformMode::Naive && first < offsets.size()) {
+    if (first < count) {
         const unsigned alpha_ks = galois_.keys.begin()->second.alphaKs;
         digits = eval_.decompose(ct.c1, alpha_ks);
     }
 
-    // Per-rotation precomputation. Naive/HoistedEager materialize
-    // rotated ciphertexts; HoistedLazy keeps the keyswitch inner
-    // products in the extended basis (k0/k1, still carrying the P
-    // factor) plus the exact rotated c0, deferring the mod-down to the
-    // end of the stage. The rotations are independent: each runs as
-    // one task that writes only its own slot.
-    const std::size_t count = offsets.size();
-    std::vector<Ciphertext> rot(lazy ? 0 : count);
+    // Per-rotation precomputation: the keyswitch inner products stay
+    // in the extended basis (k0/k1, still carrying the P factor) next
+    // to the exact rotated c0, deferring the mod-down to the end of
+    // the stage. The rotations are independent: each runs as one task
+    // that writes only its own slot.
     std::vector<RnsPoly> k0(count), k1(count), c0rot(count);
-    if (!lazy && first == 1)
-        rot[0] = ct;
     parallelFor(first, count, [&](std::size_t i) {
-        const int step = static_cast<int>(offsets[i]);
-        const std::size_t gal = eval_.galoisFromSteps(step);
-        switch (mode) {
-        case LinearTransformMode::Naive:
-            rot[i] = eval_.rotate(ct, step, galois_);
-            break;
-        case LinearTransformMode::HoistedEager:
-            rot[i] = eval_.rotateByGaloisHoisted(ct, gal, galois_.at(gal),
-                                                 digits);
-            break;
-        case LinearTransformMode::HoistedLazy: {
-            // Digit rotation fused into the inner product (tower-tiled
-            // under CL_FUSE; composed sequence otherwise).
-            auto ip = eval_.innerProduct(digits, galois_.at(gal), gal);
-            k0[i] = std::move(ip.first);
-            k1[i] = std::move(ip.second);
-            c0rot[i] = ct.c0.automorphism(gal);
-            ops.automorphisms += level;
-            break;
-        }
-        }
+        const std::size_t gal =
+            eval_.galoisFromSteps(static_cast<int>(offsets[i]));
+        // Digit rotation fused into the inner product (tower-tiled
+        // above Evaluator::kTileMinBytes).
+        auto ip = eval_.innerProduct(digits, galois_.at(gal), gal);
+        k0[i] = std::move(ip.first);
+        k1[i] = std::move(ip.second);
+        c0rot[i] = ct.c0.automorphism(gal);
+        ops.automorphisms += level;
     });
 
+    // Lazy accumulation: data-basis MACs for the exact parts (c0
+    // rotations, the unrotated term) and ext-basis MACs for the
+    // keyswitch products; one mod-down per component per stage instead
+    // of one per rotation.
     Ciphertext acc;
-    if (!lazy) {
-        for (std::size_t i = 0; i < count; ++i) {
-            Ciphertext term = eval_.mulPlain(rot[i], dc->ptData[i], p_scale);
-            acc = i == 0 ? term : eval_.add(acc, term);
-        }
-    } else {
-        // Lazy accumulation: data-basis MACs for the exact parts (c0
-        // rotations, the unrotated term) and ext-basis MACs for the
-        // keyswitch products; one mod-down per component per stage
-        // instead of one per rotation.
-        acc.c0 = RnsPoly(ctx_.chain(), ctx_.dataIdx(level), true);
-        acc.c1 = RnsPoly(ctx_.chain(), ctx_.dataIdx(level), true);
-        if (first == 1) {
-            acc.c0.addMulAssign(dc->ptData[0], ct.c0);
-            acc.c1.addMulAssign(dc->ptData[0], ct.c1);
-            ops.polyMults += 2 * level;
-            ops.polyAdds += 2 * level;
-        }
-        if (first < count) {
-            RnsPoly ext0(ctx_.chain(), digits.extIdx, true);
-            RnsPoly ext1(ctx_.chain(), digits.extIdx, true);
-            for (std::size_t i = first; i < count; ++i) {
-                acc.c0.addMulAssign(dc->ptData[i], c0rot[i]);
-                ext0.addMulAssign(dc->ptExt[i], k0[i]);
-                ext1.addMulAssign(dc->ptExt[i], k1[i]);
-                ops.polyMults += level + 2 * digits.extIdx.size();
-                ops.polyAdds += level + 2 * digits.extIdx.size();
-            }
-            acc.c0 += eval_.modDown(ext0);
-            acc.c1 += eval_.modDown(ext1);
-            ops.polyAdds += 2 * level;
-        }
-        acc.scale = ct.scale * p_scale;
+    acc.c0 = RnsPoly(ctx_.chain(), ctx_.dataIdx(level), true);
+    acc.c1 = RnsPoly(ctx_.chain(), ctx_.dataIdx(level), true);
+    if (first == 1) {
+        acc.c0.addMulAssign(dc.ptData[0], ct.c0);
+        acc.c1.addMulAssign(dc.ptData[0], ct.c1);
+        ops.polyMults += 2 * level;
+        ops.polyAdds += 2 * level;
     }
+    if (first < count) {
+        RnsPoly ext0(ctx_.chain(), digits.extIdx, true);
+        RnsPoly ext1(ctx_.chain(), digits.extIdx, true);
+        for (std::size_t i = first; i < count; ++i) {
+            acc.c0.addMulAssign(dc.ptData[i], c0rot[i]);
+            ext0.addMulAssign(dc.ptExt[i], k0[i]);
+            ext1.addMulAssign(dc.ptExt[i], k1[i]);
+            ops.polyMults += level + 2 * digits.extIdx.size();
+            ops.polyAdds += level + 2 * digits.extIdx.size();
+        }
+        acc.c0 += eval_.modDown(ext0);
+        acc.c1 += eval_.modDown(ext1);
+        ops.polyAdds += 2 * level;
+    }
+    acc.scale = ct.scale * p_scale;
     eval_.rescale(acc);
     return acc;
 }
+
 Ciphertext
-Bootstrapper::linearTransform(const Ciphertext &ct, int which,
-                              LinearTransformMode mode) const
+Bootstrapper::linearTransform(const Ciphertext &ct, int which) const
 {
     Ciphertext out = ct;
     for (std::size_t s = 0; s < transforms_[which].size(); ++s)
-        out = stageTransform(out, which, s, mode);
+        out = stageTransform(out, which, s);
     return out;
 }
 
 Ciphertext
 Bootstrapper::applyCoeffToSlot(const Ciphertext &ct,
-                               LinearTransformMode mode) const
+                               LinearTransformMode) const
 {
-    return linearTransform(ct, 0, mode);
+    return linearTransform(ct, 0);
 }
 
 Ciphertext
 Bootstrapper::applySlotToCoeff(const Ciphertext &ct,
-                               LinearTransformMode mode) const
+                               LinearTransformMode) const
 {
-    return linearTransform(ct, 1, mode);
+    return linearTransform(ct, 1);
 }
 
 std::array<Ciphertext, 2>
@@ -680,7 +626,7 @@ Bootstrapper::bootstrap(const Ciphertext &ct) const
 
     // 2. CoeffToSlot (slots in bit-reversed order), then split the
     //    packed real/imag coefficient halves with a conjugation.
-    Ciphertext t = linearTransform(raised, 0, params_.ltMode);
+    Ciphertext t = linearTransform(raised, 0);
     Ciphertext tc = eval_.conjugate(t, galois_);
     Ciphertext u = eval_.add(t, tc);        // slots: 2*x1 (x = m+q0 k)
     Ciphertext v = mulI(eval_.sub(tc, t));  // slots: i * -2i*x2 = 2*x2
@@ -699,7 +645,7 @@ Bootstrapper::bootstrap(const Ciphertext &ct) const
     alignPair(eu, evi);
     Ciphertext w = eval_.add(eu, evi);
     w.scale *= 2.0 * M_PI;
-    Ciphertext out = linearTransform(w, 1, params_.ltMode);
+    Ciphertext out = linearTransform(w, 1);
 
     // Slots now hold z(m)/q0; re-declare the scale so they read as
     // z(m)/d_app, the original message.

@@ -53,27 +53,16 @@
 namespace cl {
 
 /**
- * How the DFT stages' linear transforms execute:
- *
- *  - Naive: every rotation is an independent keyswitch
- *    (digit lift + mod-up + inner product + mod-down per rotation) —
- *    the pre-hoisting behavior, kept as the correctness and
- *    performance baseline.
- *  - HoistedEager: one shared digit decompose for all rotations;
- *    each rotation still mods down immediately. Bit-identical to
- *    Naive (a single rotation computes exactly these stages).
- *  - HoistedLazy: shared decompose plus lazy accumulation — the
- *    per-rotation inner products stay in the extended basis and each
- *    stage performs a single mod-down per ciphertext component.
- *    Same message, different (smaller) rounding noise: the mod-down's
- *    base-conversion rounding is applied once per stage instead of
- *    once per rotation, so the output is not bit-identical to
- *    Naive (see DESIGN.md §Hoisted keyswitching).
+ * The DFT stages run one way: a shared digit decompose for all
+ * rotations plus lazy accumulation — the per-rotation inner products
+ * stay in the extended basis and each stage performs a single
+ * mod-down per ciphertext component (DESIGN.md §Hoisted keyswitching).
+ * The one-value enum, BootstrapParams::ltMode and the mode argument of
+ * applyCoeffToSlot/applySlotToCoeff exist only so that
+ * bench/e2e/clbench.cpp keeps compiling.
  */
 enum class LinearTransformMode
 {
-    Naive,
-    HoistedEager,
     HoistedLazy,
 };
 
@@ -82,12 +71,8 @@ struct BootstrapParams
     /** Range bound K: EvalMod handles |m + q0 k| < K*q0. Requires a
      *  sparse secret with Hamming weight <= ~2(K-1). */
     unsigned k = 16;
-    /** Execution strategy for the CoeffToSlot/SlotToCoeff stages. */
+    /** Source compatibility only; see LinearTransformMode. */
     LinearTransformMode ltMode = LinearTransformMode::HoistedLazy;
-    /** Cache encoded diagonal plaintexts per (stage, level). Off
-     *  reproduces the historical re-encode-every-call behavior (the
-     *  benchmark baseline). */
-    bool cacheDiagonals = true;
 };
 
 /**
@@ -151,8 +136,8 @@ class Bootstrapper
     unsigned depthUsed() const { return depthUsed_; }
 
     /** The two factored transforms (all of their stages, one level
-     *  each), exposed with an explicit execution mode for equivalence
-     *  tests and benchmarks. */
+     *  each), exposed for equivalence tests and benchmarks. The mode
+     *  argument is ignored (see LinearTransformMode). */
     Ciphertext applyCoeffToSlot(const Ciphertext &ct,
                                 LinearTransformMode mode) const;
     Ciphertext applySlotToCoeff(const Ciphertext &ct,
@@ -169,40 +154,31 @@ class Bootstrapper
      * stage's offsets.
      * ptData: NTT form over the data basis (multiplies ciphertexts);
      * ptExt: NTT form over Q_level ∪ P (multiplies lazy ext-basis
-     * accumulators; only built for HoistedLazy).
+     * accumulators).
      */
     struct DiagCache
     {
         std::vector<RnsPoly> ptData;
         std::vector<RnsPoly> ptExt;
-        bool hasExt = false;
     };
 
     /** All stages of transform @p which (0 = CoeffToSlot,
      *  1 = SlotToCoeff), one level each. */
-    Ciphertext linearTransform(const Ciphertext &ct, int which,
-                               LinearTransformMode mode) const;
+    Ciphertext linearTransform(const Ciphertext &ct, int which) const;
 
     /** One stage as a hoisted linear transform: every nonzero
-     *  diagonal is a rotation of the input (one shared decompose and,
-     *  under HoistedLazy, one mod-down pair); consumes one level. */
+     *  diagonal is a rotation of the input, sharing one decompose and
+     *  one mod-down pair; consumes one level. */
     Ciphertext stageTransform(const Ciphertext &ct, int which,
-                              std::size_t s,
-                              LinearTransformMode mode) const;
+                              std::size_t s) const;
 
     /** Diagonal plaintexts of stage @p s of @p which at @p level
      *  (cached). */
-    const DiagCache &diagonals(int which, std::size_t s, unsigned level,
-                               bool need_ext) const;
+    const DiagCache &diagonals(int which, std::size_t s,
+                               unsigned level) const;
 
-    /** Encode all diagonals of @p st at @p level. */
-    DiagCache buildDiagonals(const DftStage &st, unsigned level,
-                             bool need_ext) const;
-
-    /** Encode the ext-basis plaintexts of @p st into dc.ptExt and set
-     *  dc.hasExt; ptData untouched. */
-    void addExtDiagonals(const DftStage &st, unsigned level,
-                         DiagCache &dc) const;
+    /** Encode all diagonals of @p st at @p level, in both bases. */
+    DiagCache buildDiagonals(const DftStage &st, unsigned level) const;
 
     /** EvalMod on both halves (slots in [-1, 1]): the Chebyshev
      *  cosine, then the double angles; returns sin(2 pi K x) for
@@ -235,9 +211,9 @@ class Bootstrapper
     unsigned depthUsed_ = 0;
     // bootstrap() is const and the task-graph runtime calls it from
     // many workers at once: the lazily built diagonal cache is
-    // mutex-guarded (map nodes are stable and a built entry's ptData
-    // never move, so references handed out under the lock stay valid
-    // after it is released, whatever mode the other callers run).
+    // mutex-guarded (map nodes are stable and a built entry never
+    // changes, so references handed out under the lock stay valid
+    // after it is released).
     mutable std::mutex diagMutex_;
     mutable std::map<std::tuple<int, std::size_t, unsigned>, DiagCache>
         diagCache_;

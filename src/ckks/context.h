@@ -93,7 +93,7 @@ struct OpCounter
 
     // Staged-keyswitch stage counts (the hoisted path shares one
     // decompose across many rotations; these make the sharing visible
-    // so per-stage costs can be pinned against the naive path).
+    // so per-stage costs can be pinned exactly).
     AtomicCount decomposes;    ///< Digit-lift + mod-up passes.
     AtomicCount innerProducts; ///< Hint inner products.
     AtomicCount modDowns;      ///< Extended-basis mod-downs.

@@ -279,12 +279,11 @@ Evaluator::innerProduct(const KeySwitchDigits &digits, const SwitchKey &ksk,
     // Tiling is a bandwidth optimization: it pays once one
     // extended-basis digit image outgrows the cache-resident regime.
     // Below the floor every operand is already cache-hot and the tile
-    // bookkeeping is pure overhead, so fall through to the composed
-    // per-digit path (bit-identical either way; DESIGN.md §5e).
-    const bool tiled = fusionEnabled() &&
-                       !digits.extIdx.empty() &&
+    // bookkeeping is pure overhead, so fall through to the per-digit
+    // path (bit-identical either way; DESIGN.md §5e).
+    const bool tiled = !digits.extIdx.empty() &&
                        u64{digits.extIdx.size()} * ctx_.n() * 8 >=
-                           fusionTileMinBytes();
+                           kTileMinBytes;
     if (!tiled) {
         if (galois != 1) {
             const KeySwitchDigits rot = automorphismDigits(digits, galois);
@@ -418,7 +417,6 @@ Evaluator::modDown(const RnsPoly &acc) const
     countMults(l);
     countAdds(l);
     countMemPass(l, u64{l} * 24 * ctx_.n());
-    const bool fuse = fusionEnabled();
     RnsPoly out(RnsPoly::Uninit{}, ctx_.chain(), ctx_.dataIdx(l), true);
     parallelFor(0, l, [&](std::size_t t) {
         const u64 q = ctx_.chain().modulus(t);
@@ -427,21 +425,13 @@ Evaluator::modDown(const RnsPoly &acc) const
         for (unsigned i : special_idx)
             p_mod_q = mulMod(p_mod_q, ctx_.chain().modulus(i) % q, q);
         const ShoupMul p_inv(invMod(p_mod_q, q), q);
-        if (fuse) {
-            // Single-pass epilogue (DESIGN.md §5e): leave the forward
-            // NTT in its lazy [0, 4q) window and fold the correction
-            // into the subtract-multiply sweep.
-            ctx_.chain().ntt(t).forwardLazy(conv_out[t].data());
-            kernels().nttCorrectSubMulShoupVec(
-                out.residue(t).data(), acc.residue(t).data(),
-                conv_out[t].data(), ctx_.n(), p_inv.w, p_inv.wPrec, q);
-        } else {
-            ctx_.chain().ntt(t).forward(conv_out[t].data());
-            kernels().subMulShoupVec(out.residue(t).data(),
-                                     acc.residue(t).data(),
-                                     conv_out[t].data(), ctx_.n(),
-                                     p_inv.w, p_inv.wPrec, q);
-        }
+        // Single-pass epilogue (DESIGN.md §5e): leave the forward NTT
+        // in its lazy [0, 4q) window and fold the correction into the
+        // subtract-multiply sweep.
+        ctx_.chain().ntt(t).forwardLazy(conv_out[t].data());
+        kernels().nttCorrectSubMulShoupVec(
+            out.residue(t).data(), acc.residue(t).data(),
+            conv_out[t].data(), ctx_.n(), p_inv.w, p_inv.wPrec, q);
     });
     return out;
 }

@@ -136,15 +136,24 @@ class Evaluator
     innerProduct(const KeySwitchDigits &digits, const SwitchKey &ksk) const;
 
     /**
-     * Fused stage 2 with an optional digit automorphism: equivalent to
-     * `innerProduct(automorphismDigits(digits, galois), ksk)` but tiled
-     * tower-major — for each extended-basis tower, the permuted digit
-     * residue is gathered into a cache-resident scratch block and
-     * immediately MACed into both accumulators across all dnum digits,
-     * so the rotated digits never materialize as full polynomials.
-     * Bit-identical to the composed sequence (galois = 1 skips the
-     * gather). Under CL_FUSE=0 this delegates to exactly that composed
-     * sequence.
+     * Working-set floor of the tiled inner product below: one
+     * extended-basis digit image (towers * N * 8 bytes) must be at
+     * least this large. Tiling saves bandwidth, not ALU work; below
+     * the floor every operand is already cache-hot, so the per-digit
+     * sweep is faster.
+     */
+    static constexpr u64 kTileMinBytes = u64{1} << 20;
+
+    /**
+     * Stage 2 with an optional digit automorphism, equal to
+     * `innerProduct(automorphismDigits(digits, galois), ksk)`. At or
+     * above kTileMinBytes it runs tiled tower-major — for each
+     * extended-basis tower, the permuted digit residue is gathered
+     * into a cache-resident scratch block and immediately MACed into
+     * both accumulators across all dnum digits, so the rotated digits
+     * never materialize as full polynomials (galois = 1 skips the
+     * gather). Below the floor it runs exactly that composed sequence.
+     * Both give the same bytes.
      */
     std::pair<RnsPoly, RnsPoly>
     innerProduct(const KeySwitchDigits &digits, const SwitchKey &ksk,

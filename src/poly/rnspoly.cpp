@@ -214,89 +214,55 @@ RnsPoly::rescaleLastTower()
     const u64 ql = modulus(last);
     const u64 half = ql / 2;
 
-    if (fusionEnabled()) {
-        // Single-pass-per-tower pipeline (DESIGN.md §5e). One
-        // correction per kept tower — a centered subtract plus a Shoup
-        // multiply by q_last^-1 — exactly as the composed path, but
-        // fused into the NTT boundary passes so each tower is swept
-        // once per stage instead of round-tripping through separate
-        // iNTT-scale / subtract / multiply / NTT-stage-1 sweeps.
-        countMults(last);
-        countAdds(last);
-        if (was_ntt) {
-            // Only the dropped tower leaves the NTT domain (canonical
-            // residues for the correction); each kept tower runs
-            // inverseLazy -> correction fused into the first forward
-            // stage -> remaining forward stages, staying cache-resident
-            // between the inverse and forward halves.
-            chain_->ntt(modIdx_[last]).inverse(data_.data() + last * n_);
-            const u64 *xl = data_.data() + last * n_;
-            parallelFor(0, last, [&](std::size_t t) {
-                const u64 qt = modulus(t);
-                const ShoupMul ql_inv(invMod(ql % qt, qt), qt);
-                const NttTables &ntt = chain_->ntt(modIdx_[t]);
-                const RescaleConsts rc{ntt.nInv().w, ntt.nInv().wPrec,
-                                       ql,           half,
-                                       ql_inv.w,     ql_inv.wPrec};
-                u64 *a = data_.data() + t * n_;
-                ntt.inverseLazy(a);
-                ntt.forwardRescale(a, xl, rc);
-            });
-        } else {
-            const u64 *xl = data_.data() + last * n_;
-            const KernelTable &K = kernels();
-            countMemPass(last, u64{last} * 16 * n_);
-            parallelFor(
-                0, last,
-                [&](std::size_t t) {
-                    const u64 qt = modulus(t);
-                    const ShoupMul ql_inv(invMod(ql % qt, qt), qt);
-                    // Identity N^-1 pair: mulLazy(x, 1) == x for x < q,
-                    // so the shared epilogue kernel applies the
-                    // correction without a pending iNTT scale.
-                    const ShoupMul ident(1, qt);
-                    const RescaleConsts rc{ident.w, ident.wPrec,
-                                           ql,      half,
-                                           ql_inv.w, ql_inv.wPrec};
-                    K.rescaleEpilogueVec(data_.data() + t * n_, xl, n_,
-                                         &rc, qt);
-                },
-                parallelGrain(n_));
-        }
-        data_.resize(last * n_);
-        modIdx_.pop_back();
-        return;
-    }
-
-    toCoeff();
-    const u64 *xl = data_.data() + last * n_;
-    // One correction pass per kept tower: a centered subtract plus a
-    // Shoup multiply by q_last^-1 (the same mult+add the lowering
-    // models per remaining residue).
+    // Single-pass-per-tower pipeline (DESIGN.md §5e). One correction
+    // per kept tower — a centered subtract plus a Shoup multiply by
+    // q_last^-1 (the same mult+add the lowering models per remaining
+    // residue) — fused into the NTT boundary passes so each tower is
+    // swept once per stage instead of round-tripping through separate
+    // iNTT-scale / subtract / multiply / NTT-stage-1 sweeps.
     countMults(last);
     countAdds(last);
-    countMemPass(last, u64{last} * 16 * n_);
-
-    parallelFor(
-        0, last,
-        [&](std::size_t t) {
+    const u64 *xl = data_.data() + last * n_;
+    if (was_ntt) {
+        // Only the dropped tower leaves the NTT domain (canonical
+        // residues for the correction); each kept tower runs
+        // inverseLazy -> correction fused into the first forward
+        // stage -> remaining forward stages, staying cache-resident
+        // between the inverse and forward halves.
+        chain_->ntt(modIdx_[last]).inverse(data_.data() + last * n_);
+        parallelFor(0, last, [&](std::size_t t) {
             const u64 qt = modulus(t);
             const ShoupMul ql_inv(invMod(ql % qt, qt), qt);
+            const NttTables &ntt = chain_->ntt(modIdx_[t]);
+            const RescaleConsts rc{ntt.nInv().w, ntt.nInv().wPrec,
+                                   ql,           half,
+                                   ql_inv.w,     ql_inv.wPrec};
             u64 *a = data_.data() + t * n_;
-            for (std::size_t i = 0; i < n_; ++i) {
-                // Rounded division: subtract the centered last residue,
-                // then divide by q_last. Adding half before centering
-                // implements round-to-nearest.
-                const u64 xl_shift = addMod(xl[i], half, ql);
-                const u64 xl_mod_qt = subMod(xl_shift % qt, half % qt, qt);
-                a[i] = ql_inv.mul(subMod(a[i], xl_mod_qt, qt), qt);
-            }
-        },
-        parallelGrain(n_));
+            ntt.inverseLazy(a);
+            ntt.forwardRescale(a, xl, rc);
+        });
+    } else {
+        const KernelTable &K = kernels();
+        countMemPass(last, u64{last} * 16 * n_);
+        parallelFor(
+            0, last,
+            [&](std::size_t t) {
+                const u64 qt = modulus(t);
+                const ShoupMul ql_inv(invMod(ql % qt, qt), qt);
+                // Identity N^-1 pair: mulLazy(x, 1) == x for x < q, so
+                // the shared epilogue kernel applies the correction
+                // without a pending iNTT scale.
+                const ShoupMul ident(1, qt);
+                const RescaleConsts rc{ident.w, ident.wPrec,
+                                       ql,      half,
+                                       ql_inv.w, ql_inv.wPrec};
+                K.rescaleEpilogueVec(data_.data() + t * n_, xl, n_, &rc,
+                                     qt);
+            },
+            parallelGrain(n_));
+    }
     data_.resize(last * n_);
     modIdx_.pop_back();
-    if (was_ntt)
-        toNtt();
 }
 
 RnsPoly

@@ -81,20 +81,14 @@ void
 BaseConverter::convert(const std::vector<ResidueView> &in,
                        std::span<u64 *const> out) const
 {
-    if (!fusionEnabled()) {
-        std::vector<std::vector<u64>> scaled;
-        convertUntiled(in, scaled, out);
-        return;
-    }
-
     // Tiled pipeline (DESIGN.md §5e): process the coefficient axis in
     // blocks sized so the ls scaled source rows of one block fit in
-    // cache, running the Shoup scale and every destination MAC row on
-    // the block before moving on. The scaled residues never round-trip
-    // DRAM — the tiled analog of the CRB unit holding running sums in
-    // its residue-poly buffers. Per-coefficient results are the same
-    // canonical values as the untiled path, so the output is
-    // bit-identical.
+    // cache, running the Shoup scale (x_i * (Q/q_i)^-1 mod q_i) and
+    // every destination's Listing-1 MAC row on the block before moving
+    // on. The scaled residues never round-trip DRAM — the tiled analog
+    // of the CRB unit holding running sums in its residue-poly
+    // buffers. Every output is the canonical per-coefficient value, so
+    // the block size never changes the bytes.
     const std::size_t ls = src_.size();
     const std::size_t ld = dst_.size();
     const std::size_t n = chain_.n();
@@ -146,68 +140,6 @@ BaseConverter::convert(const std::vector<std::vector<u64>> &in,
 {
     std::vector<ResidueView> views(in.begin(), in.end());
     convert(views, out);
-}
-
-void
-BaseConverter::convertKeepScaled(const std::vector<ResidueView> &in,
-                                 std::vector<std::vector<u64>> &scaled,
-                                 std::vector<std::vector<u64>> &out) const
-{
-    convertUntiled(in, scaled, rowPointers(out, dst_.size(), chain_.n()));
-}
-
-void
-BaseConverter::convertUntiled(const std::vector<ResidueView> &in,
-                              std::vector<std::vector<u64>> &scaled,
-                              std::span<u64 *const> out) const
-{
-    const std::size_t ls = src_.size();
-    const std::size_t ld = dst_.size();
-    const std::size_t n = chain_.n();
-    CL_ASSERT(in.size() == ls, "base conversion: got ", in.size(),
-              " source residues, expected ", ls);
-    CL_ASSERT(out.size() == ld, "base conversion: got ", out.size(),
-              " destination rows, expected ", ld);
-
-    const KernelTable &K = kernels();
-
-    // One Shoup multiply per source tower, then an ls-term MAC row per
-    // destination tower (ls mults + ls accumulates each).
-    countMults(ls + ls * ld);
-    countAdds(ls * ld);
-    countMemPass(ls + ld,
-                 u64{ls} * 16 * n + u64{ld} * (ls + 1) * 8 * n);
-
-    // Step 1: x'_i = x_i * (Q/q_i)^{-1} mod q_i, one worker per
-    // source tower.
-    scaled.assign(ls, std::vector<u64>(n));
-    parallelFor(
-        0, ls,
-        [&](std::size_t i) {
-            const u64 qi = chain_.modulus(src_[i]);
-            const ShoupMul &s = qHatInv_[i];
-            K.mulModShoupVec(scaled[i].data(), in[i].data(), n, s.w,
-                             s.wPrec, qi);
-        },
-        parallelGrain(n));
-
-    // Step 2: the Listing-1 MAC loop; this is what the CRB unit
-    // spatially unrolls, and each destination tower is independent so
-    // the loop fans out per tower. The kernel accumulates the whole
-    // sum_i xs[i][k] * cs[i] inner product per coefficient (the
-    // hardware keeps running sums in the CRB residue-poly buffers).
-    std::vector<const u64 *> xs(ls);
-    for (std::size_t i = 0; i < ls; ++i)
-        xs[i] = scaled[i].data();
-
-    parallelFor(
-        0, ld,
-        [&](std::size_t j) {
-            const u64 pj = chain_.modulus(dst_[j]);
-            K.baseconvMacVec(out[j], xs.data(), qHatT_[j].data(),
-                             ls, n, pj, srcMax_);
-        },
-        parallelGrain(ls * n));
 }
 
 } // namespace cl

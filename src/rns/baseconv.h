@@ -68,15 +68,6 @@ class BaseConverter
     void convert(const std::vector<std::vector<u64>> &in,
                  std::vector<std::vector<u64>> &out) const;
 
-    /**
-     * Convert and also return the scaled source residues
-     * x_i * qHatInv_i mod q_i (needed when the output keeps the
-     * source basis alongside the extension, as keyswitch mod-up does).
-     */
-    void convertKeepScaled(const std::vector<ResidueView> &in,
-                           std::vector<std::vector<u64>> &scaled,
-                           std::vector<std::vector<u64>> &out) const;
-
     /** Scalar multiply count per coefficient (for cost cross-checks):
      *  |src| scaling multiplies + |src|*|dst| MAC multiplies. */
     std::size_t multipliesPerCoeff() const
@@ -85,12 +76,6 @@ class BaseConverter
     }
 
   private:
-    /** The untiled two-pass conversion: scale every source tower into
-     *  @p scaled, then one MAC row per destination into @p out. */
-    void convertUntiled(const std::vector<ResidueView> &in,
-                        std::vector<std::vector<u64>> &scaled,
-                        std::span<u64 *const> out) const;
-
     const RnsChain &chain_;
     std::vector<unsigned> src_;
     std::vector<unsigned> dst_;

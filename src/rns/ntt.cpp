@@ -143,11 +143,12 @@ NttTables::inverse(u64 *a) const
 {
     const KernelTable &K = kernels();
     const std::size_t half = n_ >> 1;
-    if (fusionEnabled() && half >= kNttVecMinBlock) {
-        // Fused path: run the GS stages down to m=4, then one kernel
-        // computes the last stage (a single block of t = N/2 with
-        // twiddle invTwiddles_[1]) together with the N^-1 scaling —
-        // the composed sequence's final two passes in one.
+    if (half >= kNttVecMinBlock) {
+        // Run the GS stages down to m=4, then one kernel computes the
+        // last stage (a single block of t = N/2 with twiddle
+        // invTwiddles_[1]) together with the N^-1 scaling — the
+        // composed sequence's final two passes in one. Short
+        // transforms keep the composed sequence below.
         countNtts(1);
         countMemPass(logN_, u64{logN_} * 8 * n_);
         inverseStages(a, 2);

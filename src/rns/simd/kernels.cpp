@@ -173,84 +173,6 @@ setKernelTable(const KernelTable &table)
     g_active.store(&table, std::memory_order_release);
 }
 
-namespace {
-
-// -1 = unresolved, 0 = composed, 1 = fused. Resolved lazily from
-// CL_FUSE so tests that set the env before first library use see it.
-std::atomic<int> g_fuse{-1};
-
-} // namespace
-
-bool
-fusionEnabled()
-{
-    int v = g_fuse.load(std::memory_order_acquire);
-    if (v < 0) {
-        int resolved = 1;
-        if (const char *env = std::getenv("CL_FUSE")) {
-            if (std::strcmp(env, "0") == 0)
-                resolved = 0;
-            else if (std::strcmp(env, "1") != 0)
-                warn(std::string("ignoring malformed CL_FUSE='") + env +
-                     "' (want 0|1); fused pipelines stay on");
-        }
-        // Keep a value installed by an early setFusionEnabled call.
-        g_fuse.compare_exchange_strong(v, resolved,
-                                       std::memory_order_release,
-                                       std::memory_order_acquire);
-        if (v < 0)
-            v = resolved;
-    }
-    return v != 0;
-}
-
-void
-setFusionEnabled(bool enabled)
-{
-    g_fuse.store(enabled ? 1 : 0, std::memory_order_release);
-}
-
-namespace {
-
-// ~0 = unresolved; resolved lazily from CL_FUSE_TILE (bytes).
-std::atomic<u64> g_fuse_tile{~u64{0}};
-
-} // namespace
-
-u64
-fusionTileMinBytes()
-{
-    u64 v = g_fuse_tile.load(std::memory_order_acquire);
-    if (v == ~u64{0}) {
-        u64 resolved = u64{1} << 20;
-        if (const char *env = std::getenv("CL_FUSE_TILE")) {
-            char *end = nullptr;
-            const unsigned long long parsed =
-                std::strtoull(env, &end, 10);
-            if (end != env && *end == '\0' && parsed < ~u64{0})
-                resolved = parsed;
-            else
-                warn(std::string("ignoring malformed CL_FUSE_TILE='") +
-                     env + "' (want a byte count); floor stays " +
-                     std::to_string(resolved));
-        }
-        // Keep a value installed by an early setFusionTileMinBytes.
-        g_fuse_tile.compare_exchange_strong(v, resolved,
-                                            std::memory_order_release,
-                                            std::memory_order_acquire);
-        if (v == ~u64{0})
-            v = resolved;
-    }
-    return v;
-}
-
-void
-setFusionTileMinBytes(u64 bytes)
-{
-    CL_ASSERT(bytes < ~u64{0}, "tile floor reserved sentinel");
-    g_fuse_tile.store(bytes, std::memory_order_release);
-}
-
 const char *
 simdBackendName(SimdBackend backend)
 {

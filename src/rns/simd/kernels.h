@@ -164,11 +164,6 @@ struct KernelTable
     void (*mulModShoupVec)(u64 *y, const u64 *x, std::size_t n, u64 w,
                            u64 wPrec, u64 q);
 
-    /** dst[i] = (hi[i] - lo[i]) * w mod q (fused keyswitch mod-down);
-     *  hi, lo < q; Shoup pair (w, wPrec). dst may alias hi or lo. */
-    void (*subMulShoupVec)(u64 *dst, const u64 *hi, const u64 *lo,
-                           std::size_t n, u64 w, u64 wPrec, u64 q);
-
     /**
      * changeRNSBase inner product for one destination tower:
      * y[k] = sum_i (xs[i][k] mod q) * cs[i]  mod q, with cs[i] < q.
@@ -239,10 +234,11 @@ struct KernelTable
     void (*nttScaleInvVec)(u64 *a, std::size_t n, u64 w, u64 wPrec,
                            u64 q);
 
-    // ---- Fused pipeline kernels (CL_FUSE, DESIGN.md §5e) ----------
+    // ---- Fused pipeline kernels (DESIGN.md §5e) -------------------
     // Each computes exactly the composed per-coefficient integer
     // formula of the two(+) kernels it replaces, including the Harvey
-    // lazy representatives, in a single pass over the operands.
+    // lazy representatives, in a single pass over the operands. The
+    // composed sequences survive only as oracles in the tests.
 
     /**
      * Last Gentleman-Sande butterfly stage fused with the N^-1
@@ -288,7 +284,7 @@ struct KernelTable
      * modDown epilogue: fold x[i] from the forward NTT's lazy [0, 4q)
      * to canonical (two conditional subtracts, exactly nttCorrectVec),
      * then dst[i] = (acc[i] - x_c) * w mod q — the NTT correction pass
-     * and subMulShoupVec in one. acc < q; dst must not alias x.
+     * and ref::subMulShoupVec in one. acc < q; dst must not alias x.
      */
     void (*nttCorrectSubMulShoupVec)(u64 *dst, const u64 *acc,
                                      const u64 *x, std::size_t n, u64 w,
@@ -329,36 +325,6 @@ void setKernelTable(const KernelTable &table);
 
 /** Human-readable backend name ("scalar", "avx2", "avx512"). */
 const char *simdBackendName(SimdBackend backend);
-
-/**
- * Whether the fused single-pass pipelines (rescale/modDown epilogues,
- * tower-tiled keyswitch inner product, tiled base conversion) are
- * engaged. Resolved once from CL_FUSE (default on; CL_FUSE=0 falls
- * back to the composed multi-pass sequences). Fused and composed
- * paths are bit-identical by construction; the escape hatch exists
- * for differential testing and perf comparison, not correctness.
- */
-bool fusionEnabled();
-
-/** Override the fusion gate (tests/benchmarks sweeping both paths).
- *  Must not race with in-flight evaluator calls. */
-void setFusionEnabled(bool enabled);
-
-/**
- * Working-set floor for the tower-tiled keyswitch inner product: the
- * tiled sweep engages only when one extended-basis digit image
- * (towers * N * 8 bytes) is at least this large. Below the floor the
- * whole inner product is already cache-resident and the composed
- * per-digit path is faster — tiling is a bandwidth optimization, not
- * an ALU one. Resolved once from CL_FUSE_TILE (bytes; default 1 MiB;
- * 0 forces tiling whenever fusion is on). Both paths are
- * bit-identical, so the floor only moves the crossover point.
- */
-u64 fusionTileMinBytes();
-
-/** Override the tile floor (tests forcing the tiled path at small N).
- *  Must not race with in-flight evaluator calls. */
-void setFusionTileMinBytes(u64 bytes);
 
 } // namespace cl
 

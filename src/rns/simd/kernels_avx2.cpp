@@ -230,30 +230,6 @@ mulModShoupVec(u64 *y, const u64 *x, std::size_t n, u64 w, u64 wPrec,
 }
 
 void
-subMulShoupVec(u64 *dst, const u64 *hi, const u64 *lo, std::size_t n,
-               u64 w, u64 wPrec, u64 q)
-{
-    if (!narrow(q))
-        return ref::subMulShoupVec(dst, hi, lo, n, w, wPrec, q);
-    const Split32 wp(wPrec);
-    const __m256i wv = set1(w), qv = set1(q), qm1 = set1(q - 1);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i h =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(hi + i));
-        const __m256i l =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(lo + i));
-        const __m256i borrow = _mm256_cmpgt_epi64(l, h);
-        const __m256i d = _mm256_add_epi64(
-            _mm256_sub_epi64(h, l), _mm256_and_si256(qv, borrow));
-        const __m256i r = shoupMulLazy(d, wv, wp, qv);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i),
-                            csub(r, qv, qm1));
-    }
-    ref::subMulShoupVec(dst + i, hi + i, lo + i, n - i, w, wPrec, q);
-}
-
-void
 baseconvMacVec(u64 *y, const u64 *const *xs, const u64 *cs,
                std::size_t ls, std::size_t n, u64 q, u64 x_bound)
 {
@@ -577,7 +553,6 @@ avx2Table()
         &mulAddModVec,
         &negateVec,
         &mulModShoupVec,
-        &subMulShoupVec,
         &baseconvMacVec,
         &gatherVec,
         &nttFwdButterflyVec,

@@ -534,31 +534,6 @@ mulModShoupVec(u64 *y, const u64 *x, std::size_t n, u64 w, u64 wPrec,
     });
 }
 
-template <class S>
-void
-subMulShoup(u64 *dst, const u64 *hi, const u64 *lo, std::size_t n, u64 w,
-            u64 wPrec, u64 q)
-{
-    const S mul(w, wPrec, q);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512i h = _mm512_loadu_si512(hi + i);
-        const __m512i l = _mm512_loadu_si512(lo + i);
-        const __m512i d = subModQ(h, l, mul.q);
-        _mm512_storeu_si512(dst + i, csub(mul.mulLazy(d), mul.q));
-    }
-    ref::subMulShoupVec(dst + i, hi + i, lo + i, n - i, w, wPrec, q);
-}
-
-void
-subMulShoupVec(u64 *dst, const u64 *hi, const u64 *lo, std::size_t n,
-               u64 w, u64 wPrec, u64 q)
-{
-    withShoup(q, [&]<class S>(std::type_identity<S>) {
-        subMulShoup<S>(dst, hi, lo, n, w, wPrec, q);
-    });
-}
-
 /** Narrow MAC: exact 32-bit products summed in a 64-bit accumulator,
  *  Barrett-flushed before it can wrap. q < 2^30, xs < 2^32. */
 void
@@ -1135,7 +1110,6 @@ makeAvx512Table()
         &mulAddModVec,
         &negateVec,
         &mulModShoupVec,
-        &subMulShoupVec,
         &baseconvMacVec,
         &gatherVec,
         &nttFwdButterflyVec,

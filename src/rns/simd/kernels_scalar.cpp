@@ -18,7 +18,6 @@ scalarTable()
         &ref::mulAddModVec,
         &ref::negateVec,
         &ref::mulModShoupVec,
-        &ref::subMulShoupVec,
         &ref::baseconvMacVec,
         &ref::gatherVec,
         &ref::nttFwdButterflyVec,

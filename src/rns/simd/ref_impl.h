@@ -9,7 +9,9 @@
  * moduli, which makes the bit-identity argument trivial off its
  * narrow path.
  *
- * Internal header: only the backend translation units include it.
+ * Internal header: the backend translation units include it, and the
+ * kernel tests use it as their oracle (subMulShoupVec is no table
+ * entry; it is the composed half of nttCorrectSubMulShoupVec).
  */
 
 #ifndef CL_RNS_SIMD_REF_IMPL_H
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "rns/modarith.h"
+#include "rns/simd/kernels.h"
 
 namespace cl {
 namespace simd {

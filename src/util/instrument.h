@@ -128,8 +128,7 @@ countAutomorphisms(std::uint64_t k)
  * operand arrays; *bytes* is 8x the operand words the sweep touches
  * (each read or written array counts once per sweep). Fused kernels
  * charge one pass over the union of their operands where the composed
- * sequence charges one pass per constituent kernel, so
- * fused < composed in both fields on the same workload. Scratch that
+ * sequence would charge one pass per constituent kernel. Scratch that
  * stays cache-resident inside a fused/tiled pipeline (e.g. the
  * per-block scaled residues of the tiled base conversion) is
  * deliberately not charged: the whole point of fusion is that those

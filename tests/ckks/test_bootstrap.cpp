@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <memory>
 #include <thread>
@@ -232,18 +231,14 @@ TEST_F(BootstrapTest, BitIdenticalAcrossWorkerCounts)
     const Ciphertext exhausted = encryptAt(4, 1);
     const Ciphertext top = encryptAt(5, ctx_->l());
     const Ciphertext mid = encryptAt(6, ctx_->l() / 2);
-    const LinearTransformMode modes[] = {
-        LinearTransformMode::Naive, LinearTransformMode::HoistedEager,
-        LinearTransformMode::HoistedLazy};
+    const LinearTransformMode lt = BootstrapParams{}.ltMode;
 
     auto run = [&] {
         const auto boot = freshBootstrapper();
-        std::vector<std::uint64_t> d = {digest(boot->bootstrap(exhausted))};
-        for (LinearTransformMode mode : modes) {
-            d.push_back(digest(boot->applyCoeffToSlot(top, mode)));
-            d.push_back(digest(boot->applySlotToCoeff(mid, mode)));
-        }
-        return d;
+        return std::vector<std::uint64_t>{
+            digest(boot->bootstrap(exhausted)),
+            digest(boot->applyCoeffToSlot(top, lt)),
+            digest(boot->applySlotToCoeff(mid, lt))};
     };
 
     ThreadPool::setGlobalThreads(1);
@@ -256,37 +251,27 @@ TEST_F(BootstrapTest, BitIdenticalAcrossWorkerCounts)
     EXPECT_EQ(run(), ref) << "inside a WorkerScope";
 }
 
-TEST_F(BootstrapTest, ConcurrentModesShareTheDiagonalCache)
+TEST_F(BootstrapTest, ConcurrentTransformsShareTheDiagonalCache)
 {
-    // A Naive and a HoistedLazy transform racing on a fresh cache: the
-    // lazy caller upgrades the entry with ext-basis plaintexts while
-    // the naive caller may be reading its data-basis plaintexts. The
-    // upgrade fills the entry in place, so both see the bytes a
-    // serial run produces (and TSan/ASan see no race or stale read).
-    // The lazy caller starts a little later so that it usually finds
-    // the naive caller's entry and upgrades it mid-transform; the
-    // assertions hold in either order.
+    // Two transforms racing on a fresh cache: both look up, and one of
+    // them builds, every stage's entry while the other may be reading
+    // it. Both must see the bytes a serial run produces (and TSan/ASan
+    // must see no race or stale read).
     const Ciphertext top = encryptAt(7, ctx_->l());
-    const auto ref = freshBootstrapper();
-    const std::uint64_t naive_ref =
-        digest(ref->applyCoeffToSlot(top, LinearTransformMode::Naive));
-    const std::uint64_t lazy_ref =
-        digest(ref->applyCoeffToSlot(top, LinearTransformMode::HoistedLazy));
+    const LinearTransformMode lt = BootstrapParams{}.ltMode;
+    const std::uint64_t serial =
+        digest(freshBootstrapper()->applyCoeffToSlot(top, lt));
 
-    std::uint64_t naive = 0, lazy = 0;
-    std::thread t_naive([&] {
-        naive = digest(
-            boot_->applyCoeffToSlot(top, LinearTransformMode::Naive));
-    });
-    std::thread t_lazy([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        lazy = digest(
-            boot_->applyCoeffToSlot(top, LinearTransformMode::HoistedLazy));
-    });
-    t_naive.join();
-    t_lazy.join();
-    EXPECT_EQ(naive, naive_ref);
-    EXPECT_EQ(lazy, lazy_ref);
+    const auto boot = freshBootstrapper();
+    std::uint64_t first = 0, second = 0;
+    std::thread t_first(
+        [&] { first = digest(boot->applyCoeffToSlot(top, lt)); });
+    std::thread t_second(
+        [&] { second = digest(boot->applyCoeffToSlot(top, lt)); });
+    t_first.join();
+    t_second.join();
+    EXPECT_EQ(first, serial);
+    EXPECT_EQ(second, serial);
 }
 
 TEST(BootstrapUnits, ChebyshevFitApproximatesSine)

@@ -1,68 +1,43 @@
 /**
  * @file
- * Evaluator-level contracts for the fused kernel pipelines (CL_FUSE,
- * DESIGN.md §5e):
- *  - every fused pipeline (rescale, keyswitch inner product, hoisted
- *    rotation, modDown) is byte-identical to the composed multi-pass
- *    sequence it replaces, on every available SIMD backend;
- *  - the OpCounter model and the instrumented kernel counts are both
- *    invariant under fusion — fusing changes memory passes, never the
- *    modular-arithmetic work;
- *  - the memory-traffic counters record strictly fewer passes and
- *    bytes for the fused pipelines on the same workload.
+ * Evaluator-level contracts for the fused kernel pipelines (DESIGN.md
+ * §5e), at two contexts: CkksParams::testSmall(), whose extended-basis
+ * digit image sits below Evaluator::kTileMinBytes (per-digit inner
+ * product), and a logN 13 context with at least 16 extended towers,
+ * above it (tower-tiled inner product):
+ *  - a pipeline of rescales, keyswitches and a rotation reproduces
+ *    pinned digests on every available kernel table. The digests were
+ *    taken while the composed multi-pass sequences still ran in
+ *    production and matched the fused ones byte for byte;
+ *  - the tiled inner product with a fused digit automorphism equals
+ *    the composed sequence automorphismDigits + innerProduct;
+ *  - the OpCounter model equals the instrumented kernel counts on both
+ *    sequences, and the two sequences count the same work.
  */
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <cstdint>
 
 #include "ckks/encryptor.h"
 #include "ckks/evaluator.h"
 #include "rns/simd/kernels.h"
+#include "runtime/hostrun.h"
 #include "util/instrument.h"
+
+#include "../rns/kernel_test_util.h"
 
 namespace cl {
 namespace {
 
-class BackendGuard
+using test::TableGuard;
+using test::TableId;
+
+/** The context above the tile floor: 16 data + 4 special towers. */
+CkksParams
+tiledParams()
 {
-  public:
-    BackendGuard() : saved_(activeSimdBackend()) {}
-    ~BackendGuard() { setSimdBackend(saved_); }
-
-  private:
-    SimdBackend saved_;
-};
-
-class FusionGuard
-{
-  public:
-    FusionGuard() : saved_(fusionEnabled()) {}
-    ~FusionGuard() { setFusionEnabled(saved_); }
-
-  private:
-    bool saved_;
-};
-
-class TileGuard
-{
-  public:
-    TileGuard() : saved_(fusionTileMinBytes()) {}
-    ~TileGuard() { setFusionTileMinBytes(saved_); }
-
-  private:
-    u64 saved_;
-};
-
-std::vector<SimdBackend>
-availableBackends()
-{
-    std::vector<SimdBackend> v{SimdBackend::Scalar};
-    for (SimdBackend b : {SimdBackend::Avx2, SimdBackend::Avx512}) {
-        if (kernelTableFor(b))
-            v.push_back(b);
-    }
-    return v;
+    return CkksParams::testDeep(13, 16, 4);
 }
 
 bool
@@ -72,141 +47,161 @@ sameCiphertext(const Ciphertext &a, const Ciphertext &b)
            a.scale == b.scale;
 }
 
-class FusionTest : public ::testing::Test
+/** Keys, encryptor and evaluator over one parameter set, built in a
+ *  fixed order so every run encrypts the same bytes. */
+struct Harness
 {
-  protected:
-    void
-    SetUp() override
+    explicit Harness(const CkksParams &params)
+        : ctx(params), enc(ctx), keygen(ctx), pk(keygen.genPublicKey()),
+          encryptor(ctx, pk), eval(ctx), relin(keygen.genRelinKey()),
+          galois(keygen.genRotationKeys({1}, /*conjugate=*/false))
     {
-        // The test parameters are far below the adaptive tile floor
-        // (the digit image fits in cache); force the tiled inner
-        // product on so the fused path under test actually runs.
-        setFusionTileMinBytes(0);
-        ctx_ = std::make_unique<CkksContext>(CkksParams::testSmall());
-        enc_ = std::make_unique<CkksEncoder>(*ctx_);
-        keygen_ = std::make_unique<KeyGenerator>(*ctx_);
-        pk_ = keygen_->genPublicKey();
-        encryptor_ = std::make_unique<Encryptor>(*ctx_, pk_);
-        eval_ = std::make_unique<Evaluator>(*ctx_);
-        relin_ = keygen_->genRelinKey();
-        galois_ = keygen_->genRotationKeys({1}, /*conjugate=*/false);
     }
 
     Ciphertext
     encryptRandom(std::uint64_t seed)
     {
         FastRng rng(seed);
-        std::vector<Complex> v(ctx_->slots());
+        std::vector<Complex> v(ctx.slots());
         for (auto &z : v)
             z = Complex(rng.nextDouble() * 2 - 1, 0);
-        const double scale = ctx_->params().scale();
-        return encryptor_->encrypt(
-            enc_->encode(v, scale, ctx_->params().l), scale);
+        const double scale = ctx.params().scale();
+        return encryptor.encrypt(enc.encode(v, scale, ctx.params().l),
+                                 scale);
     }
 
-    /** The pipeline under test: exercises tensor + relinearize
-     *  (keyswitch inner product + modDown), rescale on both the NTT
-     *  and coefficient paths, and a rotation (automorphism-fused
-     *  inner product). Deterministic given the inputs. */
+    /** Tensor + relinearize (inner product + modDown), rescale on both
+     *  the NTT and coefficient paths, and a rotation (automorphism
+     *  fused into the inner product). Deterministic given the
+     *  inputs. */
     Ciphertext
     runPipeline(const Ciphertext &a, const Ciphertext &b) const
     {
-        Ciphertext prod = eval_->multiply(a, b, relin_);
-        eval_->rescale(prod);
-        Ciphertext rot = eval_->rotate(prod, 1, galois_);
-        Ciphertext sum = eval_->add(rot, prod);
-        Ciphertext sq = eval_->square(sum, relin_);
-        eval_->rescale(sq);
+        Ciphertext prod = eval.multiply(a, b, relin);
+        eval.rescale(prod);
+        Ciphertext rot = eval.rotate(prod, 1, galois);
+        Ciphertext sum = eval.add(rot, prod);
+        Ciphertext sq = eval.square(sum, relin);
+        eval.rescale(sq);
         return sq;
     }
 
-    TileGuard tile_guard_;
-    std::unique_ptr<CkksContext> ctx_;
-    std::unique_ptr<CkksEncoder> enc_;
-    std::unique_ptr<KeyGenerator> keygen_;
-    PublicKey pk_;
-    std::unique_ptr<Encryptor> encryptor_;
-    std::unique_ptr<Evaluator> eval_;
-    SwitchKey relin_;
-    GaloisKeys galois_;
+    CkksContext ctx;
+    CkksEncoder enc;
+    KeyGenerator keygen;
+    PublicKey pk;
+    Encryptor encryptor;
+    Evaluator eval;
+    SwitchKey relin;
+    GaloisKeys galois;
 };
 
-TEST_F(FusionTest, PipelineByteIdenticalAcrossFusionAndBackends)
+TEST(FusionTest, PipelinesMatchPinnedDigests)
 {
-    BackendGuard backend_guard;
-    FusionGuard fusion_guard;
-    const Ciphertext a = encryptRandom(101);
-    const Ciphertext b = encryptRandom(202);
-
-    setFusionEnabled(false);
-    ASSERT_TRUE(setSimdBackend(SimdBackend::Scalar));
-    const Ciphertext composed = runPipeline(a, b);
-
-    for (SimdBackend backend : availableBackends()) {
-        ASSERT_TRUE(setSimdBackend(backend));
-        setFusionEnabled(true);
-        const Ciphertext fused = runPipeline(a, b);
-        EXPECT_TRUE(sameCiphertext(fused, composed))
-            << "fused != composed on " << simdBackendName(backend);
-
-        setFusionEnabled(false);
-        const Ciphertext composed_b = runPipeline(a, b);
-        EXPECT_TRUE(sameCiphertext(composed_b, composed))
-            << "composed drifted on " << simdBackendName(backend);
+    struct Case
+    {
+        const char *name;
+        CkksParams params;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {"testSmall", CkksParams::testSmall(), 0x71b54a2d27aaee67ull},
+        {"logN13", tiledParams(), 0x5d3dfe611ea939afull},
+    };
+    TableGuard table_guard;
+    for (const Case &c : cases) {
+        Harness h(c.params);
+        const Ciphertext a = h.encryptRandom(101);
+        const Ciphertext b = h.encryptRandom(202);
+        for (TableId id : test::availableTables(true)) {
+            setKernelTable(*test::tableFor(id));
+            const std::uint64_t d = digestCiphertext(
+                1469598103934665603ull, h.runPipeline(a, b));
+            EXPECT_EQ(d, c.digest)
+                << c.name << " on " << test::tableName(id) << ": 0x"
+                << std::hex << d;
+        }
     }
 }
 
-TEST_F(FusionTest, HoistedRotationFusedMatchesComposed)
+TEST(FusionTest, HoistedRotationFusedMatchesComposed)
 {
-    // The 3-arg innerProduct (automorphism fused into the tower-tiled
-    // MAC sweep) against the explicit automorphismDigits + composed
-    // inner product, via the public hoisted-rotation API.
-    FusionGuard fusion_guard;
-    const Ciphertext ct = encryptRandom(303);
-    const std::size_t galois = eval_->galoisFromSteps(1);
-    const KeySwitchDigits digits =
-        eval_->decompose(ct.c1, ctx_->alpha());
+    // Above the floor: the 3-arg innerProduct (automorphism fused into
+    // the tower-tiled MAC sweep) against the explicit
+    // automorphismDigits + per-digit inner product, and the hoisted
+    // rotation built on it against a fresh rotation.
+    Harness h(tiledParams());
+    const Ciphertext ct = h.encryptRandom(303);
+    const std::size_t galois = h.eval.galoisFromSteps(1);
+    const SwitchKey &key = h.galois.at(galois);
+    const KeySwitchDigits digits = h.eval.decompose(ct.c1, key.alphaKs);
+    ASSERT_GE(u64{digits.extIdx.size()} * h.ctx.n() * 8,
+              Evaluator::kTileMinBytes);
 
-    setFusionEnabled(false);
-    const Ciphertext composed = eval_->rotateByGaloisHoisted(
-        ct, galois, galois_.at(galois), digits);
+    const auto fused = h.eval.innerProduct(digits, key, galois);
+    const auto composed =
+        h.eval.innerProduct(h.eval.automorphismDigits(digits, galois), key);
+    EXPECT_TRUE(fused.first.data() == composed.first.data());
+    EXPECT_TRUE(fused.second.data() == composed.second.data());
 
-    setFusionEnabled(true);
-    const Ciphertext fused = eval_->rotateByGaloisHoisted(
-        ct, galois, galois_.at(galois), digits);
-
-    EXPECT_TRUE(sameCiphertext(fused, composed));
+    EXPECT_TRUE(sameCiphertext(
+        h.eval.rotateByGaloisHoisted(ct, galois, key, digits),
+        h.eval.rotate(ct, 1, h.galois)));
 }
 
-TEST_F(FusionTest, OpCountsInvariantUnderFusion)
+TEST(FusionTest, TileFloorFallsBackToComposed)
+{
+    // Below the floor the 3-arg innerProduct runs the composed
+    // per-digit sequence, so the crossover is invisible to callers.
+    Harness h(CkksParams::testSmall());
+    const Ciphertext ct = h.encryptRandom(808);
+    const std::size_t galois = h.eval.galoisFromSteps(1);
+    const SwitchKey &key = h.galois.at(galois);
+    const KeySwitchDigits digits = h.eval.decompose(ct.c1, key.alphaKs);
+    ASSERT_LT(u64{digits.extIdx.size()} * h.ctx.n() * 8,
+              Evaluator::kTileMinBytes);
+
+    const auto direct = h.eval.innerProduct(digits, key, galois);
+    const auto composed =
+        h.eval.innerProduct(h.eval.automorphismDigits(digits, galois), key);
+    EXPECT_TRUE(direct.first.data() == composed.first.data());
+    EXPECT_TRUE(direct.second.data() == composed.second.data());
+}
+
+TEST(FusionTest, OpCountsInvariantUnderFusion)
 {
     // Fusion reorganizes memory passes; it must not change the modular
-    // arithmetic. Both the model (OpCounter) and the measurement
-    // (kernel counters) must be identical between the two paths, and
-    // model must equal measurement on each.
-    FusionGuard fusion_guard;
-    const Ciphertext a = encryptRandom(404);
-    const Ciphertext b = encryptRandom(505);
+    // arithmetic. On the tiled context, the fused rotated inner
+    // product and the composed automorphismDigits + innerProduct must
+    // count the same model (OpCounter) and measured (kernel counter)
+    // work, and model must equal measurement on each, as it must over
+    // the whole tiled pipeline.
+    Harness h(tiledParams());
+    const Ciphertext a = h.encryptRandom(404);
+    const Ciphertext b = h.encryptRandom(505);
+    const std::size_t galois = h.eval.galoisFromSteps(1);
+    const SwitchKey &key = h.galois.at(galois);
+    const KeySwitchDigits digits = h.eval.decompose(a.c1, key.alphaKs);
 
-    auto measure = [&](bool fuse) {
-        setFusionEnabled(fuse);
-        ctx_->ops().reset();
+    auto measure = [&](auto &&run) {
+        h.ctx.ops().reset();
         kernelCounters().reset();
-        runPipeline(a, b);
-        return std::make_pair(OpCounter(ctx_->ops()),
+        run();
+        return std::make_pair(OpCounter(h.ctx.ops()),
                               kernelCounters().snapshot());
     };
-
-    const auto [model_f, meas_f] = measure(true);
-    const auto [model_c, meas_c] = measure(false);
+    const auto [model_f, meas_f] =
+        measure([&] { h.eval.innerProduct(digits, key, galois); });
+    const auto [model_c, meas_c] = measure([&] {
+        h.eval.innerProduct(h.eval.automorphismDigits(digits, galois), key);
+    });
+    const auto [model_p, meas_p] = measure([&] { h.runPipeline(a, b); });
 
     EXPECT_EQ(model_f.polyMults, model_c.polyMults);
     EXPECT_EQ(model_f.polyAdds, model_c.polyAdds);
     EXPECT_EQ(model_f.ntts, model_c.ntts);
     EXPECT_EQ(model_f.automorphisms, model_c.automorphisms);
-    EXPECT_EQ(model_f.decomposes, model_c.decomposes);
     EXPECT_EQ(model_f.innerProducts, model_c.innerProducts);
-    EXPECT_EQ(model_f.modDowns, model_c.modDowns);
 
     EXPECT_EQ(meas_f.mults, meas_c.mults);
     EXPECT_EQ(meas_f.adds, meas_c.adds);
@@ -214,68 +209,14 @@ TEST_F(FusionTest, OpCountsInvariantUnderFusion)
     EXPECT_EQ(meas_f.automorphisms, meas_c.automorphisms);
 
     for (const auto &[model, meas] :
-         {std::make_pair(model_f, meas_f),
-          std::make_pair(model_c, meas_c)}) {
+         {std::make_pair(model_f, meas_f), std::make_pair(model_c, meas_c),
+          std::make_pair(model_p, meas_p)}) {
         EXPECT_EQ(model.polyMults, meas.mults);
         EXPECT_EQ(model.polyAdds, meas.adds);
         EXPECT_EQ(model.ntts, meas.ntts);
         EXPECT_EQ(model.automorphisms, meas.automorphisms);
     }
-}
-
-TEST_F(FusionTest, TileFloorFallsBackToComposed)
-{
-    // Above the floor the 3-arg innerProduct must route to the
-    // composed per-digit path even with fusion on — and produce the
-    // same bytes, so the adaptive crossover is invisible to callers.
-    FusionGuard fusion_guard;
-    const Ciphertext ct = encryptRandom(808);
-    const std::size_t galois = eval_->galoisFromSteps(1);
-    const KeySwitchDigits digits =
-        eval_->decompose(ct.c1, ctx_->alpha());
-
-    setFusionEnabled(true);
-    setFusionTileMinBytes(0); // tiled
-    const Ciphertext tiled = eval_->rotateByGaloisHoisted(
-        ct, galois, galois_.at(galois), digits);
-
-    setFusionTileMinBytes(~u64{0} - 1); // unreachably high: composed
-    const Ciphertext untiled = eval_->rotateByGaloisHoisted(
-        ct, galois, galois_.at(galois), digits);
-
-    EXPECT_TRUE(sameCiphertext(tiled, untiled));
-}
-
-TEST(FusionTile, FloorSetAndRestore)
-{
-    const u64 saved = fusionTileMinBytes();
-    setFusionTileMinBytes(12345);
-    EXPECT_EQ(fusionTileMinBytes(), 12345u);
-    setFusionTileMinBytes(saved);
-    EXPECT_EQ(fusionTileMinBytes(), saved);
-}
-
-TEST_F(FusionTest, MemTrafficStrictlySmallerFused)
-{
-    // The point of the whole exercise: the fused pipelines must move
-    // fewer bytes in fewer passes on the same workload.
-    FusionGuard fusion_guard;
-    const Ciphertext a = encryptRandom(606);
-    const Ciphertext b = encryptRandom(707);
-
-    auto measure = [&](bool fuse) {
-        setFusionEnabled(fuse);
-        memTraffic().reset();
-        runPipeline(a, b);
-        return memTraffic().snapshot();
-    };
-
-    const MemTraffic fused = measure(true);
-    const MemTraffic composed = measure(false);
-
-    EXPECT_GT(fused.passes, 0u);
-    EXPECT_LT(fused.passes, composed.passes);
-    EXPECT_LT(fused.bytes, composed.bytes);
+    EXPECT_GT(meas_p.mults, 0u);
 }
 
 } // namespace

@@ -4,8 +4,11 @@
 
 #include "rns/baseconv.h"
 #include "rns/primes.h"
+#include "rns/simd/ref_impl.h"
 #include "util/biguint.h"
 #include "util/prng.h"
+
+#include "kernel_test_util.h"
 
 namespace cl {
 namespace {
@@ -190,6 +193,85 @@ TEST(BaseConv, SingleSourceBroadcast)
             EXPECT_EQ(out[j][c], in[0][c] % chain.modulus(j + 1));
     }
 }
+
+/** Tiled convert on every kernel table, at shapes spanning several
+ *  coefficient blocks: 3 sources at N = 2^15 (three blocks of 10920
+ *  and a ragged last block of 8) and 8 sources at N = 2^13 (two full
+ *  blocks of 4096), at narrow, IFMA-range and wide prime widths. */
+class BaseConvTileTest : public ::testing::TestWithParam<test::TableId>
+{
+};
+
+TEST_P(BaseConvTileTest, TiledConvertMatchesTwoPassOracle)
+{
+    test::TableGuard guard;
+    setKernelTable(*test::tableFor(GetParam()));
+    struct Shape
+    {
+        unsigned ls, ld, logn;
+    };
+    for (Shape sh : {Shape{3, 4, 15}, Shape{8, 3, 13}}) {
+        for (unsigned bits : {30u, 50u, 60u}) {
+            const std::size_t n = std::size_t{1} << sh.logn;
+            const RnsChain chain(n, generateNttPrimes(bits, n, sh.ls + sh.ld));
+            std::vector<unsigned> src, dst;
+            for (unsigned i = 0; i < sh.ls; ++i)
+                src.push_back(i);
+            for (unsigned j = 0; j < sh.ld; ++j)
+                dst.push_back(sh.ls + j);
+            std::vector<std::vector<u64>> in(sh.ls);
+            u64 x_bound = 0;
+            for (unsigned i = 0; i < sh.ls; ++i) {
+                const u64 qi = chain.modulus(i);
+                in[i] = test::randomVec(n, qi, 5000 + 97 * i + bits + n,
+                                        {qi - 1, 0});
+                x_bound = std::max(x_bound, qi);
+            }
+            std::vector<std::vector<u64>> out;
+            BaseConverter(chain, src, dst).convert(in, out);
+
+            // Two-pass oracle: scale every source row by
+            // (Q/q_i)^-1 mod q_i, then one whole-row MAC per
+            // destination with the constants (Q/q_i) mod p_j.
+            auto qhat = [&](unsigned i, u64 p) {
+                u64 prod = 1;
+                for (unsigned m = 0; m < sh.ls; ++m)
+                    if (m != i)
+                        prod = mulMod(prod, chain.modulus(m) % p, p);
+                return prod;
+            };
+            std::vector<std::vector<u64>> scaled(sh.ls,
+                                                 std::vector<u64>(n));
+            std::vector<const u64 *> xs(sh.ls);
+            for (unsigned i = 0; i < sh.ls; ++i) {
+                const u64 qi = chain.modulus(i);
+                const ShoupMul s(invMod(qhat(i, qi), qi), qi);
+                simd::ref::mulModShoupVec(scaled[i].data(), in[i].data(),
+                                          n, s.w, s.wPrec, qi);
+                xs[i] = scaled[i].data();
+            }
+            for (unsigned j = 0; j < sh.ld; ++j) {
+                const u64 pj = chain.modulus(sh.ls + j);
+                std::vector<u64> cs(sh.ls), expect(n);
+                for (unsigned i = 0; i < sh.ls; ++i)
+                    cs[i] = qhat(i, pj);
+                simd::ref::baseconvMacVec(expect.data(), xs.data(),
+                                          cs.data(), sh.ls, n, pj,
+                                          x_bound);
+                ASSERT_EQ(out[j], expect)
+                    << "ls=" << sh.ls << " N=2^" << sh.logn
+                    << " bits=" << bits << " dst=" << j;
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AvailableBackends, BaseConvTileTest,
+    ::testing::ValuesIn(test::availableTables(true)),
+    [](const ::testing::TestParamInfo<test::TableId> &info) {
+        return test::tableName(info.param);
+    });
 
 } // namespace
 } // namespace cl

@@ -12,9 +12,11 @@
 
 #include <vector>
 
+#include "poly/rnspoly.h"
 #include "rns/ntt.h"
 #include "rns/primes.h"
 #include "rns/simd/kernels.h"
+#include "rns/simd/ref_impl.h"
 #include "util/prng.h"
 
 #include "kernel_test_util.h"
@@ -23,17 +25,6 @@ namespace {
 
 using namespace cl;
 using namespace cl::test;
-
-/** Restores the fusion gate on scope exit. */
-class FusionGuard
-{
-  public:
-    FusionGuard() : saved_(fusionEnabled()) {}
-    ~FusionGuard() { setFusionEnabled(saved_); }
-
-  private:
-    bool saved_;
-};
 
 /** The rescale kernels' (q, ql) width pairs: each named width with a
  *  second prime of the same width as ql, plus ql straddling 2^52 (the
@@ -100,6 +91,22 @@ composedRescale(std::vector<u64> a, const std::vector<u64> &xl,
     R.subModVec(a.data(), xm.data(), n, q);
     R.mulModShoupVec(a.data(), a.data(), n, rc.qlInvW, rc.qlInvPrec, q);
     return a;
+}
+
+/** The scalar per-coefficient rescale loop: subtract the centered
+ *  last residue (adding half before centering rounds to nearest), then
+ *  multiply by q_l^-1. Canonical input and output, coefficient
+ *  domain. */
+void
+scalarRescaleTower(u64 *a, const u64 *xl, std::size_t n, u64 q, u64 ql)
+{
+    const u64 half = ql / 2;
+    const ShoupMul ql_inv(invMod(ql % q, q), q);
+    for (std::size_t i = 0; i < n; ++i) {
+        const u64 xl_shift = addMod(xl[i], half, ql);
+        const u64 xl_mod_q = subMod(xl_shift % q, half % q, q);
+        a[i] = ql_inv.mul(subMod(a[i], xl_mod_q, q), q);
+    }
 }
 
 class FusedKernelTest : public ::testing::TestWithParam<TableId>
@@ -224,7 +231,7 @@ TEST_P(FusedKernelTest, RescaleNttFwdButterflyMatchesComposed)
 TEST_P(FusedKernelTest, CorrectSubMulShoupMatchesComposed)
 {
     // Fused forward-NTT correction + modDown epilogue vs.
-    // nttCorrectVec followed by subMulShoupVec.
+    // nttCorrectVec followed by the reference subtract-multiply.
     const KernelTable &R = *kernelTableFor(SimdBackend::Scalar);
     for (unsigned bits : kPrimeWidths) {
         const u64 q = primeOfWidth(bits);
@@ -240,8 +247,8 @@ TEST_P(FusedKernelTest, CorrectSubMulShoupMatchesComposed)
             std::vector<u64> d1(n), d2(n);
 
             R.nttCorrectVec(x1.data(), n, q);
-            R.subMulShoupVec(d1.data(), acc.data(), x1.data(), n, w.w,
-                             w.wPrec, q);
+            simd::ref::subMulShoupVec(d1.data(), acc.data(), x1.data(),
+                                      n, w.w, w.wPrec, q);
 
             vec().nttCorrectSubMulShoupVec(d2.data(), acc.data(),
                                            x2.data(), n, w.w, w.wPrec,
@@ -253,12 +260,12 @@ TEST_P(FusedKernelTest, CorrectSubMulShoupMatchesComposed)
 
 TEST_P(FusedKernelTest, WholeInverseNttFusedMatchesComposed)
 {
-    // NttTables::inverse with fusion on (last GS stage fused with the
-    // scale) must be bit-identical to the composed inverse, and both
-    // must round-trip forward.
+    // NttTables::inverse (last GS stage fused with the scale) must be
+    // bit-identical to the composed inverse — inverseLazy followed by
+    // the N^-1 scaling pass — and round-trip forward.
     TableGuard table_guard;
-    FusionGuard fusion_guard;
     setKernelTable(vec());
+    const KernelTable &R = *kernelTableFor(SimdBackend::Scalar);
     const std::size_t n = 1 << 12;
     for (unsigned bits : {28u, 50u}) {
         const u64 q = generateNttPrimes(bits, n, 1)[0];
@@ -268,12 +275,12 @@ TEST_P(FusedKernelTest, WholeInverseNttFusedMatchesComposed)
         auto fwd = input;
         tables.forward(fwd.data());
 
-        setFusionEnabled(false);
         auto composed = fwd;
-        tables.inverse(composed.data());
+        tables.inverseLazy(composed.data());
+        R.nttScaleInvVec(composed.data(), n, tables.nInv().w,
+                         tables.nInv().wPrec, q);
         EXPECT_EQ(composed, input) << "composed round trip bits=" << bits;
 
-        setFusionEnabled(true);
         auto fused = fwd;
         tables.inverse(fused.data());
         ASSERT_EQ(fused, composed) << "bits=" << bits;
@@ -283,11 +290,9 @@ TEST_P(FusedKernelTest, WholeInverseNttFusedMatchesComposed)
 TEST_P(FusedKernelTest, ForwardRescaleMatchesComposedPipeline)
 {
     // The whole fused rescale tower pipeline: inverseLazy +
-    // forwardRescale must equal inverse (canonical), composed
-    // correction, forward — the exact sequence the unfused
-    // rescaleLastTower runs per tower.
+    // forwardRescale must equal inverse (canonical), the scalar
+    // rescale loop, forward.
     TableGuard table_guard;
-    FusionGuard fusion_guard;
     setKernelTable(vec());
     const std::size_t n = 1 << 12;
     for (unsigned bits : {28u, 50u}) {
@@ -301,12 +306,9 @@ TEST_P(FusedKernelTest, ForwardRescaleMatchesComposedPipeline)
         const auto input = randomVec(n, q, 3000 + bits, {q - 1, 0});
         const auto xl = randomVec(n, ql, 3100 + bits, {ql - 1, 0});
 
-        // Composed: canonical inverse (unfused), identity-pair
-        // correction, canonical forward.
-        setFusionEnabled(false);
         auto composed = input;
         tables.inverse(composed.data());
-        composed = composedRescale(composed, xl, makeConsts(q, ql, 1), q);
+        scalarRescaleTower(composed.data(), xl.data(), n, q, ql);
         tables.forward(composed.data());
 
         // Fused: lazy inverse, correction with the real N^-1 pair
@@ -319,20 +321,52 @@ TEST_P(FusedKernelTest, ForwardRescaleMatchesComposedPipeline)
     }
 }
 
+TEST_P(FusedKernelTest, WholeRescaleLastTowerMatchesScalarLoop)
+{
+    // RnsPoly::rescaleLastTower in both domains against the oracle:
+    // to the coefficient domain, the scalar loop on every kept tower,
+    // drop the last tower, back to the NTT domain. N = 16 takes
+    // forwardRescale's short-transform branch.
+    TableGuard table_guard;
+    setKernelTable(vec());
+    for (std::size_t n : {std::size_t{16}, std::size_t{1} << 12}) {
+        for (unsigned bits : {28u, 50u}) {
+            const RnsChain chain(n, generateNttPrimes(bits, n, 4));
+            for (bool ntt : {false, true}) {
+                RnsPoly p(chain, {0, 1, 2, 3}, false);
+                for (std::size_t t = 0; t < 4; ++t) {
+                    const auto v = randomVec(n, p.modulus(t),
+                                             4000 + 64 * t + bits + n,
+                                             {p.modulus(t) - 1, 0});
+                    std::copy(v.begin(), v.end(), p.residue(t).begin());
+                }
+                RnsPoly expect(chain, {0, 1, 2}, false);
+                for (std::size_t t = 0; t < 3; ++t) {
+                    std::copy(p.residue(t).begin(), p.residue(t).end(),
+                              expect.residue(t).begin());
+                    scalarRescaleTower(expect.residue(t).data(),
+                                       p.residue(3).data(), n,
+                                       p.modulus(t), p.modulus(3));
+                }
+                if (ntt) {
+                    p.toNtt();
+                    expect.toNtt();
+                }
+                p.rescaleLastTower();
+                ASSERT_EQ(p.modIdx(), expect.modIdx());
+                ASSERT_EQ(p.isNtt(), ntt);
+                ASSERT_TRUE(p.data() == expect.data())
+                    << "n=" << n << " bits=" << bits << " ntt=" << ntt;
+            }
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AvailableBackends, FusedKernelTest,
     ::testing::ValuesIn(availableTables(true)),
     [](const ::testing::TestParamInfo<TableId> &info) {
         return tableName(info.param);
     });
-
-TEST(FusionGate, SetAndRestore)
-{
-    FusionGuard guard;
-    setFusionEnabled(false);
-    EXPECT_FALSE(fusionEnabled());
-    setFusionEnabled(true);
-    EXPECT_TRUE(fusionEnabled());
-}
 
 } // namespace

@@ -206,7 +206,6 @@ TEST_P(SimdBackendTest, ShoupKernelsMatchScalar)
         const u64 q = primeOfWidth(bits);
         for (std::size_t n : kLens) {
             const auto x = randomVec(n, q, 17 * bits + n, {0, q - 1});
-            const auto lo = randomVec(n, q, 19 * bits + n, {q - 1, 0});
             for (u64 wv : {u64{1}, q - 1, q / 3 + 1}) {
                 const ShoupMul w(wv, q);
                 std::vector<u64> r1(n), r2(n);
@@ -224,12 +223,6 @@ TEST_P(SimdBackendTest, ShoupKernelsMatchScalar)
                 vec().mulModShoupVec(a2.data(), a2.data(), n, w.w,
                                      w.wPrec, q);
                 ASSERT_EQ(a1, a2);
-
-                ref().subMulShoupVec(r1.data(), x.data(), lo.data(), n,
-                                     w.w, w.wPrec, q);
-                vec().subMulShoupVec(r2.data(), x.data(), lo.data(), n,
-                                     w.w, w.wPrec, q);
-                ASSERT_EQ(r1, r2) << "bits=" << bits << " n=" << n;
             }
         }
     }
