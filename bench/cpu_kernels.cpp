@@ -270,7 +270,7 @@ void
 wideArgs(benchmark::internal::Benchmark *b)
 {
     for (int bits : {40, 50, 55, 60})
-        for (int backend : {kScalar, kAvx512})
+        for (int backend : {kScalar, kAvx2, kAvx512})
             b->Args({bits, backend});
 }
 

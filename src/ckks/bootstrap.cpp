@@ -326,19 +326,18 @@ Bootstrapper::buildDiagonals(const DftStage &st, unsigned level) const
     for (unsigned i : ctx_.specialIdx())
         ext_idx.push_back(i);
 
-    DiagCache dc;
-    dc.ptData.resize(st.offsets.size());
-    dc.ptExt.resize(st.offsets.size());
+    // The encoder reduces every tower independently, so the data
+    // towers of an ext-basis plaintext equal the data-basis encoding.
+    DiagCache dc(st.offsets.size());
     // Diagonals encode independently: each index writes only its own
     // slots, so the cache is the same at any worker count.
     parallelFor(0, st.offsets.size(), [&](std::size_t i) {
-        RnsPoly pt = encoder_.encode(st.diags[i], p_scale, level);
+        RnsPoly pt = st.offsets[i] == 0
+                         ? encoder_.encode(st.diags[i], p_scale, level)
+                         : encoder_.encode(st.diags[i], p_scale, ext_idx);
         pt.toNtt();
-        RnsPoly pe = encoder_.encode(st.diags[i], p_scale, ext_idx);
-        pe.toNtt();
-        ctx_.ops().ntts += pt.towers() + pe.towers();
-        dc.ptData[i] = std::move(pt);
-        dc.ptExt[i] = std::move(pe);
+        ctx_.ops().ntts += pt.towers();
+        dc[i] = std::move(pt);
     });
     return dc;
 }
@@ -412,8 +411,8 @@ Bootstrapper::stageTransform(const Ciphertext &ct, int which,
     acc.c0 = RnsPoly(ctx_.chain(), ctx_.dataIdx(level), true);
     acc.c1 = RnsPoly(ctx_.chain(), ctx_.dataIdx(level), true);
     if (first == 1) {
-        acc.c0.addMulAssign(dc.ptData[0], ct.c0);
-        acc.c1.addMulAssign(dc.ptData[0], ct.c1);
+        acc.c0.addMulAssign(dc[0], ct.c0);
+        acc.c1.addMulAssign(dc[0], ct.c1);
         ops.polyMults += 2 * level;
         ops.polyAdds += 2 * level;
     }
@@ -421,9 +420,9 @@ Bootstrapper::stageTransform(const Ciphertext &ct, int which,
         RnsPoly ext0(ctx_.chain(), digits.extIdx, true);
         RnsPoly ext1(ctx_.chain(), digits.extIdx, true);
         for (std::size_t i = first; i < count; ++i) {
-            acc.c0.addMulAssign(dc.ptData[i], c0rot[i]);
-            ext0.addMulAssign(dc.ptExt[i], k0[i]);
-            ext1.addMulAssign(dc.ptExt[i], k1[i]);
+            acc.c0.addMulAssign(dc[i], c0rot[i]);
+            ext0.addMulAssign(dc[i], k0[i]);
+            ext1.addMulAssign(dc[i], k1[i]);
             ops.polyMults += level + 2 * digits.extIdx.size();
             ops.polyAdds += level + 2 * digits.extIdx.size();
         }

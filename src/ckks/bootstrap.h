@@ -151,16 +151,14 @@ class Bootstrapper
      * Encoded diagonals of one stage at one level, built lazily on
      * first use and reused across bootstrap() calls (the stages and
      * the levels they are applied at never change). Indexed like the
-     * stage's offsets.
-     * ptData: NTT form over the data basis (multiplies ciphertexts);
-     * ptExt: NTT form over Q_level ∪ P (multiplies lazy ext-basis
-     * accumulators).
+     * stage's offsets; each plaintext is in NTT form over the towers
+     * its diagonal multiplies. A rotated diagonal spans Q_level ∪ P:
+     * it multiplies the lazy ext-basis keyswitch accumulators, and
+     * its data towers (addMulAssign reads a superset basis) the
+     * rotated c0. The unrotated offset-0 diagonal multiplies only
+     * ciphertexts and spans the data basis alone.
      */
-    struct DiagCache
-    {
-        std::vector<RnsPoly> ptData;
-        std::vector<RnsPoly> ptExt;
-    };
+    using DiagCache = std::vector<RnsPoly>;
 
     /** All stages of transform @p which (0 = CoeffToSlot,
      *  1 = SlotToCoeff), one level each. */
@@ -177,7 +175,7 @@ class Bootstrapper
     const DiagCache &diagonals(int which, std::size_t s,
                                unsigned level) const;
 
-    /** Encode all diagonals of @p st at @p level, in both bases. */
+    /** Encode all diagonals of @p st at @p level (see DiagCache). */
     DiagCache buildDiagonals(const DftStage &st, unsigned level) const;
 
     /** EvalMod on both halves (slots in [-1, 1]): the Chebyshev

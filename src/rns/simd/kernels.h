@@ -9,11 +9,14 @@
  * table, selected once at startup:
  *
  *  - `scalar`  — the reference loops (exactly the pre-SIMD code).
- *  - `avx2`    — 4 lanes of 64-bit residues, 32x32->64 multiplies.
- *  - `avx512`  — 8 lanes, mask registers, exact 64x64-bit lane
- *                products for the wide (q >= 2^30) CKKS primes, and
- *                52-bit IFMA products below 2^50 on CPUs with
- *                avx512ifma.
+ *  - `avx2`    — 4 lanes of 64-bit residues.
+ *  - `avx512`  — 8 lanes, mask registers, and 52-bit IFMA products
+ *                below 2^50 on CPUs with avx512ifma.
+ *
+ * Both vector backends instantiate one kernel source,
+ * kernels_vec_impl.h, written over a lane type that supplies only the
+ * per-width primitives; each builds the exact 64x64-bit lane products
+ * of the wide (q >= 2^30) CKKS primes from 32x32->64 multiplies.
  *
  * Selection is CPUID-driven (best supported backend wins) and can be
  * overridden with `CL_SIMD=scalar|avx2|avx512`, mirroring CL_THREADS:
@@ -37,35 +40,36 @@
  * ## Modulus-width gating
  *
  * Which arithmetic runs depends on the modulus width; each
- * multiply-class kernel takes the first tier that fits:
+ * multiply-class kernel takes the first tier that fits. The narrow
+ * and wide tiers are the same templates on both vector backends:
  *
- *  - `avx512`, q < 2^30 (CraterLake's 28-bit datapath primes, Sec
- *    5.5): every lazy operand stays below 4q < 2^32, so one 32x32->64
- *    `vpmuludq` forms an exact product and the 64-bit Shoup/Barrett
- *    quotients split into two 32-bit multiplies.
+ *  - q < 2^30 (CraterLake's 28-bit datapath primes, Sec 5.5): every
+ *    lazy operand stays below 4q < 2^32, so one 32x32->64 `vpmuludq`
+ *    forms an exact product and the 64-bit Shoup/Barrett quotients
+ *    split into two 32-bit multiplies.
  *  - `avx512` on a CPU with avx512ifma, q < 2^50 (every prime of the
  *    logN 12-15 CKKS chains): every lazy operand stays below
  *    4q < 2^52, one IFMA limb, so `vpmadd52luq`/`vpmadd52huq` form
  *    exact 104-bit products. The Shoup quotient floor(x*wPrec/2^64)
- *    splits wPrec at bit 52 and stays exact (kernels_avx512_impl.h).
+ *    splits wPrec at bit 52 and stays exact (kernels_vec_impl.h).
  *    The base-conversion MAC also needs its sources below 2^52, the
- *    rescale kernels the dropped ql below 2^52. These kernels live
- *    in a translation unit of their own built with -mavx512ifma; the
- *    -mavx512f one holds no IFMA instruction, and the IFMA table is
- *    picked only when CPUID reports avx512ifma.
- *  - `avx512`, 2^30 <= q < 2^62 otherwise (the 55-62-bit primes, and
- *    every wide prime without IFMA): exact 64x64-bit lane products,
+ *    rescale kernels the dropped ql below 2^52. Only the IFMA table's
+ *    lane type, built in a translation unit of its own with
+ *    -mavx512ifma, has these multiplies; the -mavx512f table holds no
+ *    IFMA instruction, and the IFMA table is picked only when CPUID
+ *    reports avx512ifma.
+ *  - 2^30 <= q < 2^62 otherwise (the 55-62-bit primes, and every wide
+ *    prime on `avx2` or without IFMA): exact 64x64-bit lane products,
  *    each assembled from three (low word) or four (high word)
- *    `vpmuludq`.
- *  - `avx2` runs only the narrow arithmetic; for q >= 2^30 its
- *    multiply-class kernels delegate to the scalar reference, which
- *    is trivially bit-identical.
+ *    `vpmuludq`. `avx2` compares unsigned by flipping sign bits
+ *    before `vpcmpgtq`: for 61-62-bit primes the lazy operands
+ *    (below 4q) reach 2^63.
  *
- * add/sub/negate/gather need no multiplies and vectorize at any
- * width on both backends, as does `avx512`'s NTT correction pass. The
- * NTT's short-block stages (t < 8) run as one table entry per
- * direction; `avx512` shuffles 8 of their butterflies into each
- * vector, the other backends run the scalar loop.
+ * add/sub/negate/gather and the NTT correction pass need no
+ * multiplies and vectorize at any width on both backends. The NTT's
+ * short-block stages (t < 8) run as one table entry per direction;
+ * `avx512` shuffles 8 of their butterflies into each vector, the
+ * other backends run the scalar loop.
  */
 
 #ifndef CL_RNS_SIMD_KERNELS_H
@@ -168,11 +172,10 @@ struct KernelTable
      * changeRNSBase inner product for one destination tower:
      * y[k] = sum_i (xs[i][k] mod q) * cs[i]  mod q, with cs[i] < q.
      * @p x_bound is an exclusive upper bound on every xs value (the
-     * largest source modulus). `avx512` takes its narrow path when q
-     * < 2^30 and x_bound <= 2^32, and otherwise one Shoup multiply
-     * per term (IFMA when q < 2^50 and x_bound <= 2^52, else wide,
-     * exact for any xs value); `avx2` has only the narrow path and
-     * runs the scalar reference, the same Shoup formula, otherwise.
+     * largest source modulus). The vector backends take their
+     * narrow path when q < 2^30 and x_bound <= 2^32, and otherwise
+     * one Shoup multiply per term (on `avx512`, IFMA when q < 2^50
+     * and x_bound <= 2^52; else wide, exact for any xs value).
      */
     void (*baseconvMacVec)(u64 *y, const u64 *const *xs, const u64 *cs,
                            std::size_t ls, std::size_t n, u64 q,

@@ -274,6 +274,35 @@ TEST_F(BootstrapTest, ConcurrentTransformsShareTheDiagonalCache)
     EXPECT_EQ(second, serial);
 }
 
+TEST_F(BootstrapTest, DiagonalCacheEncodesEachDiagonalOnce)
+{
+    // A cold CoeffToSlot builds every stage's diagonals and a warm one
+    // only transforms, so the NTT count difference is the cache build.
+    // It must transform each diagonal once, over the towers it
+    // multiplies: Q_level ∪ P for a rotated diagonal, Q_level alone for
+    // the unrotated one.
+    const Ciphertext top = encryptAt(8, ctx_->l());
+    const LinearTransformMode lt = BootstrapParams{}.ltMode;
+    const auto boot = freshBootstrapper();
+    const u64 before = ctx_->ops().ntts;
+    const std::uint64_t cold = digest(boot->applyCoeffToSlot(top, lt));
+    const u64 mid = ctx_->ops().ntts;
+    const std::uint64_t warm = digest(boot->applyCoeffToSlot(top, lt));
+    const u64 after = ctx_->ops().ntts;
+    EXPECT_EQ(cold, warm);
+
+    const std::size_t special = ctx_->specialIdx().size();
+    u64 expected = 0;
+    unsigned level = ctx_->l(); // each stage consumes one level
+    for (const DftStage &st :
+         coeffToSlotStages(*enc_, BootstrapShape{}.ctsStages)) {
+        for (std::size_t offset : st.offsets)
+            expected += offset == 0 ? level : level + special;
+        --level;
+    }
+    EXPECT_EQ((mid - before) - (after - mid), expected);
+}
+
 TEST(BootstrapUnits, ChebyshevFitApproximatesSine)
 {
     // The EvalMod polynomial: the fitted cosine (Clenshaw) followed by
