@@ -16,6 +16,7 @@
 
 #include "poly/rnspoly.h"
 #include "rns/baseconv.h"
+#include "rns/kshgen.h"
 #include "rns/ntt.h"
 #include "rns/primes.h"
 #include "rns/simd/kernels.h"
@@ -670,6 +671,53 @@ BM_KeccakF1600(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_KeccakF1600);
+
+void
+BM_KeccakF1600Lanes(benchmark::State &state)
+{
+    // The kernel table's lane-interleaved permutation; items are
+    // states permuted, so items/s compares with BM_KeccakF1600.
+    BackendArg backend(state);
+    if (!backend.ok())
+        return;
+    const KernelTable &k = kernels();
+    std::vector<std::uint64_t> st(25 * k.keccakLanes, 1);
+    for (auto _ : state) {
+        k.keccakF1600Lanes(st.data());
+        benchmark::DoNotOptimize(st.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * k.keccakLanes);
+}
+BENCHMARK(BM_KeccakF1600Lanes)->Arg(kScalar)->Arg(kAvx2)->Arg(kAvx512);
+
+void
+BM_KshGenBatchExpansion(benchmark::State &state)
+{
+    // BM_KshGenExpansion's polynomial for 8 towers at once through the
+    // batch expander (one Keccak group on avx512, two on avx2).
+    BackendArg backend(state);
+    if (!backend.ok())
+        return;
+    const std::size_t n = 1 << 14, towers = 8;
+    const std::vector<u64> moduli = generateNttPrimes(28, n, towers);
+    std::vector<u64> out(towers * n);
+    std::vector<u64 *> outs(towers);
+    std::vector<std::uint64_t> domains(towers);
+    for (std::size_t t = 0; t < towers; ++t)
+        outs[t] = out.data() + t * n;
+    std::uint64_t domain = 0;
+    for (auto _ : state) {
+        for (auto &d : domains)
+            d = ++domain;
+        expandUniform(42, domains.data(), moduli.data(), outs.data(),
+                      towers, n);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * towers * n);
+}
+BENCHMARK(BM_KshGenBatchExpansion)->Arg(kScalar)->Arg(kAvx2)->Arg(kAvx512);
 
 } // namespace
 

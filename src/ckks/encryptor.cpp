@@ -2,28 +2,6 @@
 
 namespace cl {
 
-namespace {
-
-RnsPoly
-sampleSmall(const CkksContext &ctx, const std::vector<unsigned> &idx,
-            FastRng &rng, bool ternary)
-{
-    const std::size_t n = ctx.n();
-    std::vector<int> coeff(n);
-    for (auto &c : coeff)
-        c = ternary ? rng.nextTernary() : rng.nextCbd();
-    RnsPoly p(ctx.chain(), idx, false);
-    for (std::size_t t = 0; t < p.towers(); ++t) {
-        const u64 q = p.modulus(t);
-        for (std::size_t i = 0; i < n; ++i)
-            p.residue(t)[i] = reduceSigned(coeff[i], q);
-    }
-    p.toNtt();
-    return p;
-}
-
-} // namespace
-
 Encryptor::Encryptor(const CkksContext &ctx, const PublicKey &pk,
                      std::uint64_t seed)
     : ctx_(ctx), pk_(pk), rng_(seed)

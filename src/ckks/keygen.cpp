@@ -2,8 +2,12 @@
 
 #include <algorithm>
 
+#include "rns/kshgen.h"
+#include "rns/simd/kernels.h"
 #include "util/biguint.h"
+#include "util/instrument.h"
 #include "util/prng.h"
+#include "util/threadpool.h"
 
 namespace cl {
 
@@ -23,7 +27,130 @@ digitRanges(unsigned l, unsigned alpha)
     return out;
 }
 
+/**
+ * W_j mod r for every modulus r of @p ext_idx: P * (Q/Q_j) * v_j,
+ * where P is the product of @p p_primes, Q/Q_j the data primes outside
+ * digit @p dj, and v_j = [(Q/Q_j)^{-1} mod Q_j] as an exact integer,
+ * built by CRT interpolation over the digit's primes.
+ */
+std::vector<u64>
+digitFactors(const RnsChain &chain, unsigned l,
+             const std::vector<unsigned> &dj,
+             const std::vector<unsigned> &ext_idx,
+             const std::vector<u64> &p_primes)
+{
+    auto in_digit = [&dj](unsigned m) {
+        return std::find(dj.begin(), dj.end(), m) != dj.end();
+    };
+    std::vector<u64> qj_primes;
+    for (unsigned i : dj)
+        qj_primes.push_back(chain.modulus(i));
+    const BigUint qj = BigUint::product(qj_primes);
+
+    BigUint vj(0);
+    for (unsigned i : dj) {
+        const u64 qi = chain.modulus(i);
+        // (Q/Q_j) mod q_i: product of data primes outside the digit.
+        u64 qhat_mod_qi = 1;
+        for (unsigned m = 0; m < l; ++m) {
+            if (!in_digit(m))
+                qhat_mod_qi = mulMod(qhat_mod_qi, chain.modulus(m) % qi, qi);
+        }
+        // (Q_j/q_i) mod q_i.
+        u64 qj_hat_mod_qi = 1;
+        for (unsigned m : dj) {
+            if (m != i)
+                qj_hat_mod_qi =
+                    mulMod(qj_hat_mod_qi, chain.modulus(m) % qi, qi);
+        }
+        const u64 ci = mulMod(invMod(qhat_mod_qi, qi),
+                              invMod(qj_hat_mod_qi, qi), qi);
+        // vj += ci * (Q_j / q_i)
+        std::vector<u64> others;
+        for (unsigned m : dj) {
+            if (m != i)
+                others.push_back(chain.modulus(m));
+        }
+        BigUint term = BigUint::product(others);
+        term.mulU64(ci);
+        vj += term;
+    }
+    while (vj >= qj)
+        vj -= qj;
+
+    std::vector<u64> w(ext_idx.size());
+    for (std::size_t t = 0; t < ext_idx.size(); ++t) {
+        const u64 r = chain.modulus(ext_idx[t]);
+        u64 wt = 1;
+        for (u64 p : p_primes)
+            wt = mulMod(wt, p % r, r);
+        for (unsigned m = 0; m < l; ++m) {
+            if (!in_digit(m))
+                wt = mulMod(wt, chain.modulus(m) % r, r);
+        }
+        w[t] = mulMod(wt, vj.modU64(r), r);
+    }
+    return w;
+}
+
+/** coeff[i] mod q into dst[i] for |coeff[i]| < q (the ternary secret,
+ *  CBD noise at most 21): a negative c lifts to q + c. */
+void
+liftSmall(const int *coeff, std::size_t n, u64 q, u64 *dst)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        const int c = coeff[i];
+        dst[i] = c < 0 ? q - static_cast<u64>(-c) : static_cast<u64>(c);
+    }
+}
+
+/** Small coefficients lifted into every tower of a coefficient-domain
+ *  polynomial over @p idx, towers in parallel. */
+RnsPoly
+liftSmallPoly(const RnsChain &chain, const std::vector<unsigned> &idx,
+              const std::vector<int> &coeff)
+{
+    CL_ASSERT(coeff.size() == chain.n(), "need one coefficient per slot");
+    RnsPoly p(RnsPoly::Uninit{}, chain, idx, false);
+    parallelFor(
+        0, p.towers(),
+        [&](std::size_t t) {
+            liftSmall(coeff.data(), chain.n(), p.modulus(t),
+                      p.residue(t).data());
+        },
+        parallelGrain(chain.n()));
+    return p;
+}
+
 } // namespace
+
+RnsPoly
+sampleSmall(const CkksContext &ctx, const std::vector<unsigned> &idx,
+            FastRng &rng, bool ternary)
+{
+    std::vector<int> coeff(ctx.n());
+    for (auto &c : coeff)
+        c = ternary ? rng.nextTernary() : rng.nextCbd();
+    RnsPoly p = liftSmallPoly(ctx.chain(), idx, coeff);
+    p.toNtt();
+    return p;
+}
+
+/**
+ * One (b, a) pair over a common basis: a expanded from (seed,
+ * domain * 0x10000 + chain index) tower by tower, and
+ * b = e - a*s (+ w[t] * src over tower t when src is set), all in NTT
+ * form. s and src span the full chain, tower i over chain modulus i.
+ */
+struct KeyGenerator::HalfPair
+{
+    RnsPoly *a = nullptr;
+    RnsPoly *b = nullptr;
+    std::uint64_t domain = 0;
+    std::vector<int> e;
+    const RnsPoly *src = nullptr;
+    std::vector<u64> w;
+};
 
 KeyGenerator::KeyGenerator(const CkksContext &ctx)
     : ctx_(ctx), noiseRng_(ctx.params().seed * 0x9e3779b97f4a7c15ULL + 1),
@@ -52,60 +179,87 @@ KeyGenerator::KeyGenerator(const CkksContext &ctx)
     std::vector<unsigned> full_idx;
     for (unsigned i = 0; i < ctx_.chain().size(); ++i)
         full_idx.push_back(i);
-    sk_.s = RnsPoly(ctx_.chain(), full_idx, false);
-    for (std::size_t t = 0; t < sk_.s.towers(); ++t) {
-        const u64 q = sk_.s.modulus(t);
-        for (std::size_t i = 0; i < n; ++i)
-            sk_.s.residue(t)[i] = reduceSigned(s_coeff[i], q);
-    }
+    sk_.s = liftSmallPoly(ctx_.chain(), full_idx, s_coeff);
     sk_.s.toNtt();
 }
 
-RnsPoly
-KeyGenerator::sampleError(const std::vector<unsigned> &idx)
+std::vector<int>
+KeyGenerator::drawError()
 {
-    const std::size_t n = ctx_.n();
-    std::vector<int> e_coeff(n);
-    for (auto &c : e_coeff)
+    std::vector<int> e(ctx_.n());
+    for (auto &c : e)
         c = noiseRng_.nextCbd();
-    RnsPoly e(ctx_.chain(), idx, false);
-    for (std::size_t t = 0; t < e.towers(); ++t) {
-        const u64 q = e.modulus(t);
-        for (std::size_t i = 0; i < n; ++i)
-            e.residue(t)[i] = reduceSigned(e_coeff[i], q);
-    }
-    e.toNtt();
     return e;
 }
 
-RnsPoly
-KeyGenerator::sampleUniformSeeded(std::uint64_t seed, std::uint64_t domain,
-                                  const std::vector<unsigned> &idx)
+void
+KeyGenerator::generatePairs(std::vector<HalfPair> &pairs,
+                            const std::vector<unsigned> &idx)
 {
-    // Expanded directly in the NTT domain (a uniform polynomial is
-    // uniform in either domain), matching KSHGen's on-the-fly
-    // generation of NTT-resident hint halves.
-    RnsPoly a(ctx_.chain(), idx, true);
-    for (std::size_t t = 0; t < a.towers(); ++t) {
-        const u64 q = a.modulus(t);
-        RejectionSampler sampler(seed, domain * 0x10000 + idx[t], q);
-        sampler.fill(a.residue(t).data(), ctx_.n());
+    const RnsChain &chain = ctx_.chain();
+    const std::size_t n = ctx_.n();
+    const std::uint64_t seed = ctx_.params().seed;
+    const std::size_t lanes = kernels().keccakLanes;
+    const std::size_t groups = ceilDiv(idx.size(), lanes);
+    for (HalfPair &p : pairs) {
+        *p.a = RnsPoly(RnsPoly::Uninit{}, chain, idx, true);
+        *p.b = RnsPoly(RnsPoly::Uninit{}, chain, idx, true);
     }
-    return a;
+
+    parallelFor(0, pairs.size() * groups, [&](std::size_t job) {
+        HalfPair &p = pairs[job / groups];
+        const std::size_t t0 = (job % groups) * lanes;
+        const std::size_t count = std::min(lanes, idx.size() - t0);
+
+        std::vector<std::uint64_t> domains(count);
+        std::vector<u64> moduli(count);
+        std::vector<u64 *> outs(count);
+        for (std::size_t k = 0; k < count; ++k) {
+            domains[k] = p.domain * 0x10000 + idx[t0 + k];
+            moduli[k] = chain.modulus(idx[t0 + k]);
+            outs[k] = p.a->residue(t0 + k).data();
+        }
+        // Uniform in either domain, so a is expanded directly in NTT
+        // form, as KSHGen generates NTT-resident hint halves.
+        expandUniform(seed, domains.data(), moduli.data(), outs.data(),
+                      count, n);
+
+        // Per tower: a*s and e - a*s, then w*s_src and its add.
+        const KernelTable &K = kernels();
+        const std::uint64_t passes = count * (p.src ? 2 : 1);
+        countMults(passes);
+        countAdds(passes);
+        countMemPass(2 * passes, 2 * passes * 16 * n);
+        std::vector<u64> tmp(n);
+        for (std::size_t t = t0; t < t0 + count; ++t) {
+            const unsigned m = idx[t];
+            const u64 q = chain.modulus(m);
+            u64 *b = p.b->residue(t).data();
+            liftSmall(p.e.data(), n, q, b);
+            chain.ntt(m).forward(b);
+            std::copy_n(p.a->residue(t).data(), n, tmp.data());
+            K.mulModVec(tmp.data(), sk_.s.residue(m).data(), n, q);
+            K.subModVec(b, tmp.data(), n, q);
+            if (p.src) {
+                const ShoupMul wm(p.w[t], q);
+                K.mulModShoupVec(tmp.data(), p.src->residue(m).data(), n,
+                                 wm.w, wm.wPrec, q);
+                K.addModVec(b, tmp.data(), n, q);
+            }
+        }
+    });
 }
 
 PublicKey
 KeyGenerator::genPublicKey()
 {
-    const auto idx = ctx_.dataIdx(ctx_.l());
     PublicKey pk;
-    pk.a = sampleUniformSeeded(ctx_.params().seed, domainCounter_++, idx);
-    RnsPoly s_data = sk_.s;
-    s_data.dropTowers(ctx_.alpha());
-    pk.b = sampleError(idx);
-    RnsPoly as = pk.a;
-    as *= s_data;
-    pk.b -= as;
+    std::vector<HalfPair> pairs(1);
+    pairs[0].a = &pk.a;
+    pairs[0].b = &pk.b;
+    pairs[0].domain = domainCounter_++;
+    pairs[0].e = drawError();
+    generatePairs(pairs, ctx_.dataIdx(ctx_.l()));
     return pk;
 }
 
@@ -129,9 +283,6 @@ KeyGenerator::genSwitchKey(const RnsPoly &s_src, std::uint64_t domain,
     for (unsigned i = 0; i < alpha; ++i)
         ext_idx.push_back(ctx_.l() + i);
 
-    RnsPoly s_ext = sk_.s.subset(ext_idx);
-    RnsPoly s_src_ext = s_src.subset(ext_idx);
-
     // P = product of the special moduli used by this key (as
     // residues; the big product is only needed mod each modulus).
     std::vector<u64> p_primes;
@@ -142,82 +293,22 @@ KeyGenerator::genSwitchKey(const RnsPoly &s_src, std::uint64_t domain,
     ksk.alphaKs = alpha;
     ksk.seed = ctx_.params().seed;
     ksk.domain = domain;
+    ksk.a.resize(digits.size());
+    ksk.b.resize(digits.size());
 
+    // The error draws stay serial, in digit order; everything else is
+    // per tower.
+    std::vector<HalfPair> pairs(digits.size());
     for (std::size_t j = 0; j < digits.size(); ++j) {
-        const auto &dj = digits[j];
-
-        // v_j = [(Q/Q_j)^{-1} mod Q_j] as an exact integer, built by
-        // CRT interpolation over the digit's primes.
-        std::vector<u64> qj_primes;
-        for (unsigned i : dj)
-            qj_primes.push_back(ctx_.chain().modulus(i));
-        const BigUint qj = BigUint::product(qj_primes);
-
-        BigUint vj(0);
-        for (unsigned i : dj) {
-            const u64 qi = ctx_.chain().modulus(i);
-            // (Q/Q_j) mod q_i: product of data primes outside the digit.
-            u64 qhat_mod_qi = 1;
-            for (unsigned m = 0; m < l; ++m) {
-                if (std::find(dj.begin(), dj.end(), m) != dj.end())
-                    continue;
-                qhat_mod_qi =
-                    mulMod(qhat_mod_qi, ctx_.chain().modulus(m) % qi, qi);
-            }
-            // (Q_j/q_i) mod q_i.
-            u64 qj_hat_mod_qi = 1;
-            for (unsigned m : dj) {
-                if (m == i)
-                    continue;
-                qj_hat_mod_qi =
-                    mulMod(qj_hat_mod_qi, ctx_.chain().modulus(m) % qi, qi);
-            }
-            const u64 ci = mulMod(invMod(qhat_mod_qi, qi),
-                                  invMod(qj_hat_mod_qi, qi), qi);
-            // vj += ci * (Q_j / q_i)
-            std::vector<u64> others;
-            for (unsigned m : dj) {
-                if (m != i)
-                    others.push_back(ctx_.chain().modulus(m));
-            }
-            BigUint term = BigUint::product(others);
-            term.mulU64(ci);
-            vj += term;
-        }
-        while (vj >= qj)
-            vj -= qj;
-
-        // W_j mod r = P * (Q/Q_j) * v_j mod r for every chain modulus.
-        RnsPoly a_j = sampleUniformSeeded(
-            ksk.seed, (domain << 8) + j, ext_idx);
-        RnsPoly b_j = sampleError(ext_idx);
-
-        RnsPoly as = a_j;
-        as *= s_ext;
-        b_j -= as;
-
-        for (std::size_t t = 0; t < ext_idx.size(); ++t) {
-            const u64 r = ctx_.chain().modulus(ext_idx[t]);
-            u64 w = 1;
-            for (u64 p : p_primes)
-                w = mulMod(w, p % r, r);
-            for (unsigned m = 0; m < l; ++m) {
-                if (std::find(dj.begin(), dj.end(), m) != dj.end())
-                    continue;
-                w = mulMod(w, ctx_.chain().modulus(m) % r, r);
-            }
-            w = mulMod(w, vj.modU64(r), r);
-            // b_j[t] += w * s_src[t]
-            const u64 *src = s_src_ext.residue(t).data();
-            u64 *dst = b_j.residue(t).data();
-            const ShoupMul wm(w, r);
-            for (std::size_t i = 0; i < ctx_.n(); ++i)
-                dst[i] = addMod(dst[i], wm.mul(src[i], r), r);
-        }
-
-        ksk.a.push_back(std::move(a_j));
-        ksk.b.push_back(std::move(b_j));
+        HalfPair &p = pairs[j];
+        p.a = &ksk.a[j];
+        p.b = &ksk.b[j];
+        p.domain = (domain << 8) + j;
+        p.e = drawError();
+        p.src = &s_src;
+        p.w = digitFactors(ctx_.chain(), l, digits[j], ext_idx, p_primes);
     }
+    generatePairs(pairs, ext_idx);
     return ksk;
 }
 

@@ -85,7 +85,22 @@ struct GaloisKeys
     bool has(std::size_t galois) const { return keys.count(galois) != 0; }
 };
 
-/** Generates all key material from the context's master seed. */
+/** A fresh ternary (ternary = true) or CBD polynomial drawn from
+ *  @p rng, lifted into every tower of @p idx in parallel, in NTT
+ *  form. Shared by key generation and encryption. */
+RnsPoly sampleSmall(const CkksContext &ctx,
+                    const std::vector<unsigned> &idx, FastRng &rng,
+                    bool ternary);
+
+/**
+ * Generates all key material from the context's master seed.
+ *
+ * Noise and the secret come from one FastRng in a fixed serial order:
+ * the secret, then each key's error polynomials in digit order. The
+ * rest of every key is a pure function of those draws and the seeded
+ * streams, so it is computed tower by tower on the thread pool with
+ * the same bytes at any worker count and on any kernel table.
+ */
 class KeyGenerator
 {
   public:
@@ -117,16 +132,20 @@ class KeyGenerator
                            unsigned alpha_ks = 0);
 
   private:
-    RnsPoly sampleError(const std::vector<unsigned> &idx);
-    RnsPoly sampleUniformSeeded(std::uint64_t seed, std::uint64_t domain,
-                                const std::vector<unsigned> &idx);
+    struct HalfPair;
+
+    /** CBD error coefficients, the next n draws of noiseRng_. */
+    std::vector<int> drawError();
+
+    /** Every pair's a and b over @p idx, one task per group of
+     *  kernels().keccakLanes towers of one pair. */
+    void generatePairs(std::vector<HalfPair> &pairs,
+                       const std::vector<unsigned> &idx);
 
     const CkksContext &ctx_;
     SecretKey sk_;
     FastRng noiseRng_;
     std::uint64_t domainCounter_;
-
-    friend class Encryptor; // shares the sampling helpers
 };
 
 } // namespace cl

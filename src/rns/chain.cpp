@@ -1,5 +1,7 @@
 #include "chain.h"
 
+#include "util/threadpool.h"
+
 namespace cl {
 
 RnsChain::RnsChain(std::size_t n, std::vector<u64> moduli)
@@ -7,12 +9,17 @@ RnsChain::RnsChain(std::size_t n, std::vector<u64> moduli)
 {
     CL_ASSERT(isPowerOfTwo(n_), "N must be a power of two");
     CL_ASSERT(!moduli_.empty(), "empty modulus chain");
-    ntt_.reserve(moduli_.size());
     for (u64 q : moduli_) {
         CL_ASSERT((q - 1) % (2 * n_) == 0, "modulus ", q,
                   " not NTT-friendly for N=", n_);
-        ntt_.push_back(std::make_unique<NttTables>(n_, q));
     }
+    ntt_.resize(moduli_.size());
+    parallelFor(
+        0, moduli_.size(),
+        [&](std::size_t i) {
+            ntt_[i] = std::make_unique<NttTables>(n_, moduli_[i]);
+        },
+        parallelGrain(2 * n_));
 }
 
 const AutomorphismMap &

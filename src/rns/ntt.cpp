@@ -28,12 +28,17 @@ NttTables::NttTables(std::size_t n, u64 q) : n_(n), q_(q)
     psi_ = findPrimitiveRoot(q, 2 * n);
     const u64 psi_inv = invMod(psi_, q);
 
+    // Slot i holds psi^brv(i): walk the powers psi^e as a running
+    // product and scatter each to slot brv(e) (brv is an involution).
     fwdTwiddles_.resize(n);
     invTwiddles_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const u64 e = bitReverse(static_cast<std::uint32_t>(i), logN_);
-        fwdTwiddles_[i] = ShoupMul(powMod(psi_, e, q), q);
-        invTwiddles_[i] = ShoupMul(powMod(psi_inv, e, q), q);
+    u64 fwd = 1, inv = 1;
+    for (std::size_t e = 0; e < n; ++e) {
+        const std::size_t i = bitReverse(static_cast<std::uint32_t>(e), logN_);
+        fwdTwiddles_[i] = ShoupMul(fwd, q);
+        invTwiddles_[i] = ShoupMul(inv, q);
+        fwd = mulMod(fwd, psi_, q);
+        inv = mulMod(inv, psi_inv, q);
     }
     nInv_ = ShoupMul(invMod(static_cast<u64>(n), q), q);
 }

@@ -5,8 +5,8 @@
  * vector lanes (Sec 5). Every elementwise kernel the functional
  * library runs (modular add/sub/mul, Shoup multiply, the
  * changeRNSBase MAC inner product, the Harvey lazy NTT butterflies,
- * and the automorphism slot gather) goes through one function-pointer
- * table, selected once at startup:
+ * the automorphism slot gather, and KSHGen's Keccak permutation) goes
+ * through one function-pointer table, selected once at startup:
  *
  *  - `scalar`  — the reference loops (exactly the pre-SIMD code).
  *  - `avx2`    — 4 lanes of 64-bit residues.
@@ -292,6 +292,21 @@ struct KernelTable
     void (*nttCorrectSubMulShoupVec)(u64 *dst, const u64 *acc,
                                      const u64 *x, std::size_t n, u64 w,
                                      u64 wPrec, u64 q);
+
+    // ---- KSHGen (DESIGN.md §5b) -----------------------------------
+
+    /** Keccak states keccakF1600Lanes permutes per call: one per
+     *  64-bit vector lane (1 on `scalar`, 4 on `avx2`, 8 on
+     *  `avx512`). */
+    std::size_t keccakLanes;
+
+    /**
+     * keccakF1600 on keccakLanes independent sponge states held
+     * lane-interleaved: word w of state l at s[w * keccakLanes + l].
+     * Each state ends exactly as keccakF1600 leaves it; the scalar
+     * table calls keccakF1600 itself.
+     */
+    void (*keccakF1600Lanes)(std::uint64_t *s);
 };
 
 /**

@@ -44,6 +44,8 @@ struct Avx2Lanes
     static R sub(R a, R b) { return _mm256_sub_epi64(a, b); }
     static R bitAnd(R a, R b) { return _mm256_and_si256(a, b); }
     static R bitOr(R a, R b) { return _mm256_or_si256(a, b); }
+    static R bitXor(R a, R b) { return _mm256_xor_si256(a, b); }
+    static R andNot(R a, R b) { return _mm256_andnot_si256(a, b); }
     static R srli(R a, unsigned n) { return _mm256_srli_epi64(a, n); }
     static R slli(R a, unsigned n) { return _mm256_slli_epi64(a, n); }
     static R srl(R a, __m128i n) { return _mm256_srl_epi64(a, n); }

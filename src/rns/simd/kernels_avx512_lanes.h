@@ -36,6 +36,18 @@ struct Avx512Lanes
     static R sub(R a, R b) { return _mm512_sub_epi64(a, b); }
     static R bitAnd(R a, R b) { return _mm512_and_si512(a, b); }
     static R bitOr(R a, R b) { return _mm512_or_si512(a, b); }
+    static R bitXor(R a, R b) { return _mm512_xor_si512(a, b); }
+    static R andNot(R a, R b) { return _mm512_and_si512(~a, b); }
+
+    /** vprolq: rotate every lane left by N. (The all-lanes mask form
+     *  avoids _mm512_rol_epi64's _mm512_undefined_epi32 source, which
+     *  GCC flags as uninitialized.) */
+    template <unsigned N>
+    static R
+    rotl(R a)
+    {
+        return _mm512_mask_rol_epi64(a, 0xff, a, N);
+    }
     static R srli(R a, unsigned n) { return _mm512_srli_epi64(a, n); }
     static R slli(R a, unsigned n) { return _mm512_slli_epi64(a, n); }
     static R srl(R a, __m128i n) { return _mm512_srl_epi64(a, n); }

@@ -2,9 +2,25 @@
 
 #include "rns/simd/kernels.h"
 #include "rns/simd/ref_impl.h"
+#include "util/prng.h"
+
+#include <algorithm>
 
 namespace cl {
 namespace simd {
+namespace {
+
+/** One state per call: keccakF1600 on a copy of the 25 words. */
+void
+keccakF1600One(std::uint64_t *s)
+{
+    std::array<std::uint64_t, 25> state;
+    std::copy_n(s, state.size(), state.begin());
+    keccakF1600(state);
+    std::copy(state.begin(), state.end(), s);
+}
+
+} // namespace
 
 const KernelTable *
 scalarTable()
@@ -30,6 +46,8 @@ scalarTable()
         &ref::rescaleEpilogueVec,
         &ref::rescaleNttFwdButterflyVec,
         &ref::nttCorrectSubMulShoupVec,
+        1,
+        &keccakF1600One,
     };
     return &table;
 }

@@ -30,6 +30,9 @@
  *    64 bits: the lazy NTT operands reach 4q, which is at least 2^63
  *    for 61-62-bit primes;
  *  - `gather(src, idx)`: lane l loads src[idx[l]] (32-bit indices);
+ *  - `bitXor` and `andNot(a, b)` (~a & b), for the Keccak lane kernel,
+ *    which rotates lanes with `slli | srli` unless V also supplies
+ *    `rotl<n>` (vprolq on the 8-lane types);
  *  - `kIfma`, true when V also has the IFMA multiplies `madd52lo`/
  *    `madd52hi` (acc + bits 0..51 / 52..103 of the 104-bit products
  *    of the lanes' low 52 bits).
@@ -68,7 +71,10 @@
 
 #include <array>
 #include <type_traits>
+#include <utility>
 #include <vector>
+
+#include "util/prng.h"
 
 namespace cl {
 namespace simd {
@@ -528,9 +534,16 @@ baseconvMacNarrow(u64 *y, const u64 *const *xs, const u64 *cs,
                   std::size_t ls, std::size_t n, u64 q)
 {
     using R = typename V::R;
-    // x mod q for x < 2^32 is the identity Shoup multiply plus one
-    // conditional subtract.
-    const NarrowShoup<V> modQ(1, static_cast<u64>((u128{1} << 64) / q), q);
+    // x mod q for x < 2^32: x - floor(x*M/2^64)*q with M = floor(2^64/q)
+    // split as mHi:mLo (NarrowShoup::mulLazy's quotient with w = 1, so
+    // x*w is x itself), in [0, 2q), plus one conditional subtract.
+    const u64 m = static_cast<u64>((u128{1} << 64) / q);
+    const R mLo = V::set1(m), mHi = V::set1(m >> 32), qv = V::set1(q);
+    const auto mod_q = [&](R x) {
+        const R h = hi32<V>(
+            V::add(V::mul32(x, mHi), hi32<V>(V::mul32(x, mLo))));
+        return V::csub(V::sub(x, V::mul32(h, qv)), qv);
+    };
     const NarrowMulMod<V> mul(q);
     // Flush period: chunk * q^2 <= q * 2^32 keeps the running sum in
     // the Barrett reduction's domain.
@@ -542,8 +555,7 @@ baseconvMacNarrow(u64 *y, const u64 *const *xs, const u64 *cs,
         R acc = V::zero();
         std::size_t since_flush = 0;
         for (std::size_t i = 0; i < ls; ++i) {
-            const R t = V::csub(modQ.mulLazy(V::load(xs[i] + k)),
-                                modQ.q); // [0, q)
+            const R t = mod_q(V::load(xs[i] + k)); // [0, q)
             acc = V::add(acc, V::mul32(t, V::set1(cs[i])));
             if (++since_flush >= chunk && i + 1 < ls) {
                 acc = mul.reduce(acc);
@@ -1085,6 +1097,100 @@ nttCorrectSubMulShoupVec(u64 *dst, const u64 *acc, const u64 *x,
     });
 }
 
+// --- KSHGen: Keccak-f[1600] on kLanes interleaved states --------------
+
+/** f(integral_constant<I>) for I = 0 .. N-1, unrolled, so every state
+ *  index below is a compile-time constant and the 25 state vectors
+ *  stay in registers. */
+template <std::size_t N, class F>
+inline void
+unrolled(F &&f)
+{
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+        (f(std::integral_constant<std::size_t, I>{}), ...);
+    }(std::make_index_sequence<N>{});
+}
+
+/** Lane-wise rotate left by N: V's rotl where it has one (vprolq),
+ *  else two shifts. */
+template <class V, unsigned N>
+inline typename V::R
+rotl(typename V::R x)
+{
+    if constexpr (N == 0)
+        return x;
+    else if constexpr (requires(typename V::R r) { V::template rotl<N>(r); })
+        return V::template rotl<N>(x);
+    else
+        return V::bitOr(V::slli(x, N), V::srli(x, 64 - N));
+}
+
+/** One Rho-Pi move: state word src, rotated left by rot, lands in
+ *  word dst. */
+struct KeccakMove
+{
+    unsigned src, dst, rot;
+};
+
+/** keccakF1600's Rho-Pi cycle (keccak::kPiLanes, keccak::kRhoOffsets)
+ *  as 25 independent moves, word 0 staying in place unrotated. */
+constexpr std::array<KeccakMove, 25>
+keccakRhoPi()
+{
+    std::array<KeccakMove, 25> m{};
+    unsigned src = 1;
+    for (unsigned i = 0; i < 24; ++i) {
+        m[i + 1] = {src, keccak::kPiLanes[i], keccak::kRhoOffsets[i]};
+        src = keccak::kPiLanes[i];
+    }
+    return m;
+}
+
+constexpr std::array<KeccakMove, 25> kKeccakRhoPi = keccakRhoPi();
+
+/** One Keccak-f[1600] round on every lane, exactly keccakF1600's
+ *  Theta, Rho-Pi, Chi and Iota steps; word x + 5y in a[x + 5y]. */
+template <class V>
+inline void
+keccakRound(typename V::R (&a)[25], u64 rc)
+{
+    using R = typename V::R;
+    R c[5], b[25];
+    unrolled<5>([&](auto x) {
+        c[x] = V::bitXor(V::bitXor(V::bitXor(a[x], a[x + 5]),
+                                   V::bitXor(a[x + 10], a[x + 15])),
+                         a[x + 20]);
+    });
+    unrolled<5>([&](auto x) {
+        const R d = V::bitXor(c[(x + 4) % 5], rotl<V, 1>(c[(x + 1) % 5]));
+        unrolled<5>(
+            [&](auto y) { a[x + 5 * y] = V::bitXor(a[x + 5 * y], d); });
+    });
+    unrolled<25>([&](auto i) {
+        constexpr KeccakMove m = kKeccakRhoPi[decltype(i)::value];
+        b[m.dst] = rotl<V, m.rot>(a[m.src]);
+    });
+    unrolled<25>([&](auto i) {
+        constexpr std::size_t x = decltype(i)::value % 5;
+        constexpr std::size_t row = decltype(i)::value - x;
+        a[i] = V::bitXor(b[i], V::andNot(b[row + (x + 1) % 5],
+                                         b[row + (x + 2) % 5]));
+    });
+    a[0] = V::bitXor(a[0], V::set1(rc));
+}
+
+/** KernelTable::keccakF1600Lanes: kLanes states, interleaved. */
+template <class V>
+void
+keccakF1600Lanes(std::uint64_t *s)
+{
+    typename V::R a[25];
+    unrolled<25>([&](auto w) { a[w] = V::load(s + w * V::kLanes); });
+    for (u64 rc : keccak::kRoundConstants)
+        keccakRound<V>(a, rc);
+    unrolled<25>([&](auto w) { V::store(s + w * V::kLanes, a[w]); });
+}
+
 /** The kernel table of lane type V. The register-resident NTT tails
  *  need 8 lanes; narrower types run the scalar tails. */
 template <class V>
@@ -1112,6 +1218,8 @@ makeTable(SimdBackend id, const char *name)
         &rescaleEpilogueVec<V>,
         &rescaleNttFwdButterflyVec<V>,
         &nttCorrectSubMulShoupVec<V>,
+        V::kLanes,
+        &keccakF1600Lanes<V>,
     };
     if constexpr (V::kLanes == 8) {
         t.nttFwdTailVec = &nttFwdTailVec<V>;

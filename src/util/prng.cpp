@@ -6,26 +6,9 @@ namespace cl {
 
 namespace {
 
-constexpr std::array<std::uint64_t, 24> roundConstants = {
-    0x0000000000000001ULL, 0x0000000000008082ULL, 0x800000000000808aULL,
-    0x8000000080008000ULL, 0x000000000000808bULL, 0x0000000080000001ULL,
-    0x8000000080008081ULL, 0x8000000000008009ULL, 0x000000000000008aULL,
-    0x0000000000000088ULL, 0x0000000080008009ULL, 0x000000008000000aULL,
-    0x000000008000808bULL, 0x800000000000008bULL, 0x8000000000008089ULL,
-    0x8000000000008003ULL, 0x8000000000008002ULL, 0x8000000000000080ULL,
-    0x000000000000800aULL, 0x800000008000000aULL, 0x8000000080008081ULL,
-    0x8000000000008080ULL, 0x0000000080000001ULL, 0x8000000080008008ULL,
-};
-
-constexpr std::array<unsigned, 24> rhoOffsets = {
-    1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 2, 14,
-    27, 41, 56, 8, 25, 43, 62, 18, 39, 61, 20, 44,
-};
-
-constexpr std::array<unsigned, 24> piLanes = {
-    10, 7, 11, 17, 18, 3, 5, 16, 8, 21, 24, 4,
-    15, 23, 19, 13, 12, 2, 20, 14, 22, 9, 6, 1,
-};
+constexpr const auto &roundConstants = keccak::kRoundConstants;
+constexpr const auto &rhoOffsets = keccak::kRhoOffsets;
+constexpr const auto &piLanes = keccak::kPiLanes;
 
 inline std::uint64_t
 rotl64(std::uint64_t x, unsigned s)

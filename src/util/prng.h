@@ -20,6 +20,42 @@
 
 namespace cl {
 
+/** Keccak-f[1600] step constants, shared by the scalar permutation and
+ *  the lane-interleaved one of the SIMD kernel tables. */
+namespace keccak {
+
+/** Iota: the round constant XORed into lane 0 after each round. */
+inline constexpr std::array<std::uint64_t, 24> kRoundConstants = {
+    0x0000000000000001ULL, 0x0000000000008082ULL, 0x800000000000808aULL,
+    0x8000000080008000ULL, 0x000000000000808bULL, 0x0000000080000001ULL,
+    0x8000000080008081ULL, 0x8000000000008009ULL, 0x000000000000008aULL,
+    0x0000000000000088ULL, 0x0000000080008009ULL, 0x000000008000000aULL,
+    0x000000008000808bULL, 0x800000000000008bULL, 0x8000000000008089ULL,
+    0x8000000000008003ULL, 0x8000000000008002ULL, 0x8000000000000080ULL,
+    0x000000000000800aULL, 0x800000008000000aULL, 0x8000000080008081ULL,
+    0x8000000000008080ULL, 0x0000000080000001ULL, 0x8000000080008008ULL,
+};
+
+/**
+ * Rho and Pi as one cycle through the 24 lanes other than lane 0:
+ * step i moves the lane that step i-1 displaced (lane 1 for i = 0)
+ * into lane kPiLanes[i], rotated left by kRhoOffsets[i].
+ */
+inline constexpr std::array<unsigned, 24> kRhoOffsets = {
+    1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 2, 14,
+    27, 41, 56, 8, 25, 43, 62, 18, 39, 61, 20, 44,
+};
+
+inline constexpr std::array<unsigned, 24> kPiLanes = {
+    10, 7, 11, 17, 18, 3, 5, 16, 8, 21, 24, 4,
+    15, 23, 19, 13, 12, 2, 20, 14, 22, 9, 6, 1,
+};
+
+/** SHAKE-128 rate in 64-bit words (168 bytes). */
+inline constexpr unsigned kShake128RateWords = 168 / 8;
+
+} // namespace keccak
+
 /** One Keccak-f[1600] permutation over the 25-word sponge state. */
 void keccakF1600(std::array<std::uint64_t, 25> &state);
 
@@ -49,7 +85,7 @@ class Shake128Stream
   private:
     void squeezeBlock();
 
-    static constexpr unsigned rateWords = 168 / 8; // SHAKE-128 rate
+    static constexpr unsigned rateWords = keccak::kShake128RateWords;
 
     std::array<std::uint64_t, 25> state_{};
     std::array<std::uint64_t, rateWords> block_{};

@@ -7,6 +7,9 @@
 
 #include "ckks/encryptor.h"
 #include "ckks/evaluator.h"
+#include "rns/simd/kernels.h"
+
+#include "../rns/kernel_test_util.h"
 
 namespace cl {
 namespace {
@@ -141,26 +144,36 @@ TEST_P(KeySwitchTest, HintFootprintMatchesPaperFormula)
 
 TEST_P(KeySwitchTest, SeededHalvesRegenerateExactly)
 {
-    // The pseudo-random a_j can be re-expanded from (seed, domain) —
-    // the KSHGen property (Sec 5.2).
+    // Every tower of every a_j re-expands from (seed, domain) through
+    // the scalar RejectionSampler — the KSHGen property (Sec 5.2) —
+    // whichever kernel table's Keccak lanes generated it. The
+    // extended bases here hold 7, 8, 9 and 12 towers, so the last
+    // Keccak group is often partly empty.
     const unsigned alpha_ks = GetParam();
-    auto rlk = keygen_->genRelinKey(alpha_ks);
-    for (unsigned j = 0; j < rlk.digits(); ++j) {
-        const RnsPoly &a = rlk.a[j];
-        for (std::size_t t = 0; t < a.towers(); ++t) {
-            const u64 q = a.modulus(t);
-            RejectionSampler sampler(
-                rlk.seed, (rlk.domain << 8) + j,
-                q); // must match KeyGenerator's domain layout
-            std::vector<u64> regen(ctx_->n());
-            // Domain includes the chain index; recompute it.
-            RejectionSampler sampler2(
-                rlk.seed,
-                ((rlk.domain << 8) + j) * 0x10000 + a.modIdx()[t], q);
-            sampler2.fill(regen.data(), ctx_->n());
-            EXPECT_TRUE(std::ranges::equal(regen, a.residue(t)))
-                << "digit " << j << " tower " << t;
-            break; // one tower per digit suffices
+    test::TableGuard table_guard;
+    for (test::TableId id : test::availableTables(true)) {
+        setKernelTable(*test::tableFor(id));
+        const SwitchKey keys[] = {keygen_->genRelinKey(alpha_ks),
+                                  keygen_->genRotationKey(3, alpha_ks)};
+        for (const SwitchKey &key : keys) {
+            ASSERT_EQ(key.digits(), ceilDiv(ctx_->l(), alpha_ks));
+            for (unsigned j = 0; j < key.digits(); ++j) {
+                const RnsPoly &a = key.a[j];
+                ASSERT_EQ(a.towers(), ctx_->l() + alpha_ks);
+                for (std::size_t t = 0; t < a.towers(); ++t) {
+                    // KeyGenerator's domain layout: the key's domain,
+                    // the digit, then the tower's chain index.
+                    RejectionSampler sampler(
+                        key.seed,
+                        ((key.domain << 8) + j) * 0x10000 + a.modIdx()[t],
+                        a.modulus(t));
+                    std::vector<u64> regen(ctx_->n());
+                    sampler.fill(regen.data(), ctx_->n());
+                    EXPECT_TRUE(std::ranges::equal(regen, a.residue(t)))
+                        << test::tableName(id) << " domain " << key.domain
+                        << " digit " << j << " tower " << t;
+                }
+            }
         }
     }
 }

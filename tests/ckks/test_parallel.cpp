@@ -14,7 +14,10 @@
 
 #include "ckks/encryptor.h"
 #include "ckks/evaluator.h"
+#include "rns/simd/kernels.h"
 #include "util/threadpool.h"
+
+#include "../rns/kernel_test_util.h"
 
 namespace cl {
 namespace {
@@ -111,6 +114,88 @@ TEST_F(ParallelDeterminismTest, RepeatedParallelRunsAgree)
     const Ciphertext r2 = runChain(ct, ct);
     EXPECT_TRUE(r1.c0.data() == r2.c0.data());
     EXPECT_TRUE(r1.c1.data() == r2.c1.data());
+}
+
+/** FNV-1a over a polynomial's basis, domain, and every residue word. */
+std::uint64_t
+digestPoly(std::uint64_t h, const RnsPoly &p)
+{
+    auto mix = [&h](std::uint64_t w) {
+        for (unsigned b = 0; b < 8; ++b) {
+            h ^= (w >> (8 * b)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    };
+    mix(p.towers());
+    for (unsigned idx : p.modIdx())
+        mix(idx);
+    mix(p.isNtt() ? 1 : 0);
+    for (std::size_t t = 0; t < p.towers(); ++t)
+        for (u64 w : p.residue(t))
+            mix(w);
+    return h;
+}
+
+std::uint64_t
+digestSwitchKey(std::uint64_t h, const SwitchKey &k)
+{
+    for (unsigned j = 0; j < k.digits(); ++j)
+        h = digestPoly(digestPoly(h, k.b[j]), k.a[j]);
+    return h;
+}
+
+/** Digest of the public key, a relinearization key and rotation keys
+ *  (with conjugation), generated from a fresh KeyGenerator. */
+std::uint64_t
+keyMaterialDigest(const CkksParams &params)
+{
+    CkksContext ctx(params);
+    KeyGenerator keygen(ctx);
+    const PublicKey pk = keygen.genPublicKey();
+    std::uint64_t h = 1469598103934665603ull;
+    h = digestPoly(digestPoly(h, pk.b), pk.a);
+    h = digestSwitchKey(h, keygen.genRelinKey());
+    for (const auto &[galois, key] :
+         keygen.genRotationKeys({1, 3, -2}, /*conjugate=*/true).keys)
+        h = digestSwitchKey(h ^ galois, key);
+    return h;
+}
+
+TEST_F(ParallelDeterminismTest, KeyMaterialBitIdenticalAcrossWorkerCounts)
+{
+    // Key generation fans its towers out over the pool and over the
+    // Keccak lanes of the active kernel table; neither may change a
+    // byte. The digests were taken with the serial one-stream-at-a-time
+    // generator. The first set has 5 data towers (public key) and
+    // 7 extended towers per digit, neither a multiple of 4 or 8; the
+    // second uses the 28-bit hardware-width primes.
+    CkksParams odd = CkksParams::testSmall();
+    odd.l = 5;
+    odd.alpha = 2;
+    struct Case
+    {
+        const char *name;
+        CkksParams params;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {"l5_alpha2", odd, 0x5400334782f9b4edull},
+        {"hardwareWidth", CkksParams::hardwareWidth(11, 3, 3),
+         0x504c53cccde813ecull},
+    };
+    test::TableGuard table_guard;
+    for (const Case &c : cases) {
+        for (test::TableId id : test::availableTables(true)) {
+            setKernelTable(*test::tableFor(id));
+            for (unsigned threads : {1u, 8u}) {
+                ThreadPool::setGlobalThreads(threads);
+                const std::uint64_t d = keyMaterialDigest(c.params);
+                EXPECT_EQ(d, c.digest)
+                    << c.name << " on " << test::tableName(id) << " at "
+                    << threads << " workers: 0x" << std::hex << d;
+            }
+        }
+    }
 }
 
 } // namespace

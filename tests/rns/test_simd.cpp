@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -410,6 +411,36 @@ INSTANTIATE_TEST_SUITE_P(
 // GTest flags an empty ValuesIn; on hosts with no vector backend the
 // suite legitimately has nothing to check.
 GTEST_ALLOW_UNINSTANTIATED_PARAMETERIZED_TEST(SimdBackendTest);
+
+TEST(KeccakLanes, EveryTableMatchesKeccakF1600)
+{
+    // keccakLanes random states, interleaved, chained through 100
+    // permutations: each must track keccakF1600 on its own copy.
+    for (TableId id : availableTables(true)) {
+        const KernelTable &k = *tableFor(id);
+        const std::size_t lanes = k.keccakLanes;
+        ASSERT_GE(lanes, 1u) << tableName(id);
+        FastRng rng(1600 + lanes);
+        std::vector<std::array<std::uint64_t, 25>> expect(lanes);
+        std::vector<std::uint64_t> interleaved(25 * lanes);
+        for (std::size_t l = 0; l < lanes; ++l) {
+            for (std::size_t w = 0; w < 25; ++w) {
+                expect[l][w] = rng.next64();
+                interleaved[w * lanes + l] = expect[l][w];
+            }
+        }
+        for (int round = 0; round < 100; ++round) {
+            k.keccakF1600Lanes(interleaved.data());
+            for (std::size_t l = 0; l < lanes; ++l) {
+                keccakF1600(expect[l]);
+                for (std::size_t w = 0; w < 25; ++w)
+                    ASSERT_EQ(interleaved[w * lanes + l], expect[l][w])
+                        << tableName(id) << " permutation " << round
+                        << " lane " << l << " word " << w;
+            }
+        }
+    }
+}
 
 TEST(SimdDispatch, ScalarTableAlwaysAvailable)
 {
