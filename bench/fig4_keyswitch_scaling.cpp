@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "baseline/cpumodel.h"
+#include "util/opcost.h"
 #include "util/table.h"
 
 int
@@ -24,33 +24,28 @@ main()
 
     TextTable t({"L", "std footprint", "boosted", "std mults (1e9)",
                  "boosted"});
+    // 28-bit multiplies of a keyswitch: NTT butterflies, CRB MACs and
+    // the other multiplies.
+    auto mults = [&](const opcost::KeySwitch &k) {
+        return (k.chipNtts() * n * logn / 2 +
+                static_cast<double>(k.chipCrbMacs() + k.chipMuls()) * n) /
+               1e9;
+    };
     double std60 = 0, boost60 = 0;
-    for (unsigned l = 4; l <= 60; l += 8) {
-        const unsigned lv = l == 60 ? 60 : l;
-        const KswOpCount s = keyswitchCost(lv, lv, n); // standard
-        const KswOpCount b = keyswitchCost(lv, 1, n);  // boosted 1-digit
-        const double s_gb = s.kshWords * word_bytes / 1e9;
-        const double b_gb = b.kshWords * word_bytes / 1e9;
-        const double s_mults =
-            (s.ntts * n * logn / 2 + (s.macVecs + s.mulVecs) * n) / 1e9;
-        const double b_mults =
-            (b.ntts * n * logn / 2 + (b.macVecs + b.mulVecs) * n) / 1e9;
-        if (lv == 60) {
-            std60 = s_gb;
-            boost60 = b_gb;
-        }
+    for (unsigned lv = 4; lv <= 60; lv += 8) { // 4, 12, ..., 60
+        const opcost::KeySwitch s = opcost::keySwitch(lv, 1, n); // standard
+        const opcost::KeySwitch b = opcost::keySwitch(lv, lv, n); // boosted
+        const double s_gb = s.hintWords * word_bytes / 1e9;
+        const double b_gb = b.hintWords * word_bytes / 1e9;
+        const double s_mults = mults(s);
+        const double b_mults = mults(b);
+        std60 = s_gb;
+        boost60 = b_gb;
         t.addRow({std::to_string(lv),
                   s_gb >= 0.1 ? TextTable::num(s_gb, 2) + " GB"
                               : TextTable::num(s_gb * 1e3, 1) + " MB",
                   TextTable::num(b_gb * 1e3, 1) + " MB",
                   TextTable::num(s_mults, 2), TextTable::num(b_mults, 2)});
-    }
-    // Make sure L=60 is present.
-    {
-        const KswOpCount s = keyswitchCost(60, 60, n);
-        const KswOpCount b = keyswitchCost(60, 1, n);
-        std60 = s.kshWords * word_bytes / 1e9;
-        boost60 = b.kshWords * word_bytes / 1e9;
     }
     t.print();
 

@@ -84,31 +84,44 @@ measureCpuKernels()
     return r;
 }
 
-KswOpCount
-keyswitchCost(unsigned l, unsigned t, std::size_t n)
+namespace {
+
+/**
+ * One op's work under the CPU model, in residue-vector passes
+ * (util/opcost.h). It follows the host where the chip differs: a
+ * rescale round-trips every kept tower. It follows the chip where
+ * CPU libraries do: single-prime digits lift without MACs, and the
+ * q̂⁻¹ scaling is folded into the conversion.
+ */
+struct CpuOpCost
 {
-    KswOpCount c;
-    const unsigned a = static_cast<unsigned>(ceilDiv(l, t));
-    const unsigned ext = l + a;
-    unsigned dnum = 0;
-    unsigned left = l;
-    while (left > 0) {
-        const unsigned d = std::min(a, left);
-        // Single-prime digits lift by broadcast reduction — no
-        // change-RNS-base multiplies (the standard algorithm).
-        if (d > 1)
-            c.macVecs += static_cast<std::uint64_t>(d) * (ext - d);
-        left -= d;
-        ++dnum;
-    }
-    c.ntts = static_cast<std::uint64_t>(dnum) * ext // mod-up
-             + 2ull * (a + l);                      // mod-down
-    c.macVecs += 2ull * a * l;                      // mod-down
-    c.mulVecs = 2ull * dnum * ext + 2ull * l;       // hint MAC, P^-1
-    c.addVecs = 2ull * dnum * ext + 4ull * l;
-    c.kshWords = 2ull * dnum * ext * n;
-    return c;
+    double ntts = 0;
+    double macs = 0;
+    double muls = 0;
+    double addMuls = 0;   ///< Adds, in multiply-equivalents.
+    double hintWords = 0; ///< Hint words streamed in.
+};
+
+CpuOpCost
+cpuOpCost(const HomOp &op, std::size_t n)
+{
+    const HomOpCost c = homOpCost(op, n);
+    const opcost::KeySwitch &k = c.ks;
+    // A level drop is priced as a rescale.
+    const opcost::Rescale r =
+        op.kind == HomOpKind::LevelDrop && op.outLevel < op.level
+            ? opcost::rescale(op.level, op.outLevel)
+            : c.rescale;
+    // Adds are ~4x cheaper than muls; either add kind is charged one
+    // per ciphertext tower.
+    return {static_cast<double>(k.chipNtts() + r.host().ntts + c.raise.ntts),
+            static_cast<double>(k.chipCrbMacs() + c.raise.macs),
+            static_cast<double>(k.chipMuls() + c.tensor.muls + c.plainMuls),
+            c.adds > 0 ? 0.25 * op.level : 0.0,
+            static_cast<double>(k.hintWords)};
 }
+
+} // namespace
 
 double
 CpuModel::scalarMultiplies(const HomProgram &hp)
@@ -117,30 +130,8 @@ CpuModel::scalarMultiplies(const HomProgram &hp)
     const double logn = log2Exact(hp.n());
     double mults = 0;
     for (const HomOp &op : hp.ops) {
-        const unsigned l = op.level;
-        switch (op.kind) {
-          case HomOpKind::Mul:
-          case HomOpKind::Rotate:
-          case HomOpKind::Conjugate: {
-            const KswOpCount k = keyswitchCost(l, op.digits, hp.n());
-            mults += (k.ntts * logn / 2 + k.macVecs + k.mulVecs) * n;
-            if (op.kind == HomOpKind::Mul)
-                mults += 4.0 * l * n; // tensor product
-            break;
-          }
-          case HomOpKind::MulPlain:
-            mults += 2.0 * l * n;
-            break;
-          case HomOpKind::ModRaise:
-            mults += (2.0 * (op.level + op.outLevel) * logn / 2 +
-                      2.0 * l * (op.outLevel - l)) * n;
-            break;
-          default:
-            break;
-        }
-        // Rescale folded into Mul/MulPlain cost models.
-        if (op.outLevel < op.level && op.kind != HomOpKind::ModRaise)
-            mults += 2.0 * (op.outLevel + op.level) * logn / 2 * n;
+        const CpuOpCost c = cpuOpCost(op, hp.n());
+        mults += (c.ntts * logn / 2 + c.macs + c.muls) * n;
     }
     return mults;
 }
@@ -157,45 +148,15 @@ CpuModel::run(const HomProgram &hp) const
     const double bytes_per_word = 8; // CPU libraries use 64-bit words
 
     for (const HomOp &op : hp.ops) {
-        const unsigned l = op.level;
-        double ntts = 0, macs = 0, muls = 0;
-        switch (op.kind) {
-          case HomOpKind::Mul:
-          case HomOpKind::Rotate:
-          case HomOpKind::Conjugate: {
-            const KswOpCount k = keyswitchCost(l, op.digits, hp.n());
-            ntts += static_cast<double>(k.ntts);
-            macs += static_cast<double>(k.macVecs);
-            muls += static_cast<double>(k.mulVecs);
-            traffic += k.kshWords * bytes_per_word; // hint streamed in
-            if (op.kind == HomOpKind::Mul)
-                muls += 4.0 * l;
-            break;
-          }
-          case HomOpKind::MulPlain:
-            muls += 2.0 * l;
-            break;
-          case HomOpKind::Add:
-          case HomOpKind::AddPlain:
-            muls += 0.25 * l; // adds are ~4x cheaper than muls
-            break;
-          case HomOpKind::ModRaise:
-            ntts += 2.0 * (op.level + op.outLevel);
-            macs += 2.0 * l * (op.outLevel - l);
-            break;
-          default:
-            break;
-        }
-        if (op.outLevel < op.level && op.kind != HomOpKind::ModRaise)
-            ntts += 2.0 * (op.outLevel + op.level);
-
+        const CpuOpCost c = cpuOpCost(op, hp.n());
+        traffic += c.hintWords * bytes_per_word; // hint streamed in
         // Every op streams its ciphertext operands through the cache
         // hierarchy at least once (tens-of-MB ciphertexts do not fit).
-        traffic += 2.0 * 2.0 * l * n * bytes_per_word;
+        traffic += 2.0 * 2.0 * op.level * n * bytes_per_word;
 
-        compute += ntts * (n / 2 * logn) / rates_.nttButterflyPerSec +
-                   macs * n / rates_.macPerSec +
-                   muls * n / rates_.modmulPerSec;
+        compute += c.ntts * (n / 2 * logn) / rates_.nttButterflyPerSec +
+                   c.macs * n / rates_.macPerSec +
+                   (c.muls + c.addMuls) * n / rates_.modmulPerSec;
     }
 
     const double compute_time = compute / core_scale;

@@ -4,11 +4,11 @@
  * running state-of-the-art FHE libraries).
  *
  * The model counts the scalar modular operations and memory traffic
- * of each homomorphic operation (using the same keyswitching cost
- * formulas the paper tabulates in Table 1) and divides by kernel
- * throughputs *measured on this machine* with our own NTT and MAC
- * kernels, scaled to the paper's core count. The calibration is
- * reported alongside every result (see EXPERIMENTS.md).
+ * of each homomorphic operation (the Table 1 stage terms of
+ * util/opcost.h, which the lowering and the host read too) and
+ * divides by kernel throughputs *measured on this machine* with our
+ * own NTT and MAC kernels, scaled to the paper's core count. The
+ * calibration is reported alongside every result (see EXPERIMENTS.md).
  */
 
 #ifndef CL_BASELINE_CPUMODEL_H
@@ -55,20 +55,6 @@ class CpuModel
     CpuKernelRates rates_;
     CpuModelParams params_;
 };
-
-/**
- * Per-keyswitch operation counts (Table 1). `t` digits over `l`
- * towers; t == l reproduces the standard algorithm's costs.
- */
-struct KswOpCount
-{
-    std::uint64_t ntts = 0;     ///< Residue-polynomial (I)NTTs.
-    std::uint64_t macVecs = 0;  ///< changeRNSBase multiply-accumulates.
-    std::uint64_t mulVecs = 0;  ///< Other element-wise multiplies.
-    std::uint64_t addVecs = 0;
-    std::uint64_t kshWords = 0; ///< Hint footprint in words.
-};
-KswOpCount keyswitchCost(unsigned l, unsigned t, std::size_t n);
 
 } // namespace cl
 

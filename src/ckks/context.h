@@ -16,6 +16,7 @@
 
 #include "ckks/params.h"
 #include "poly/rnspoly.h"
+#include "util/opcost.h"
 
 namespace cl {
 
@@ -97,6 +98,17 @@ struct OpCounter
     AtomicCount decomposes;    ///< Digit-lift + mod-up passes.
     AtomicCount innerProducts; ///< Hint inner products.
     AtomicCount modDowns;      ///< Extended-basis mod-downs.
+
+    /** Charge one op-cost stage (util/opcost.h). */
+    OpCounter &
+    operator+=(const opcost::Counts &c)
+    {
+        ntts += c.ntts;
+        polyMults += c.mults;
+        polyAdds += c.adds;
+        automorphisms += c.automorphisms;
+        return *this;
+    }
 
     void
     reset()

@@ -14,23 +14,20 @@ Encryptor::encrypt(const RnsPoly &plain, double scale) const
     RnsPoly m = plain;
     m.toNtt();
     const std::vector<unsigned> &idx = m.modIdx();
-    // The public key lives at the top level; restrict it to the
-    // plaintext's basis (a prefix of the data moduli).
-    RnsPoly b = pk_.b.subset(idx);
-    RnsPoly a = pk_.a.subset(idx);
 
     RnsPoly v = sampleSmall(ctx_, idx, rng_, true);
     RnsPoly e0 = sampleSmall(ctx_, idx, rng_, false);
     RnsPoly e1 = sampleSmall(ctx_, idx, rng_, false);
 
+    // The public key lives at the top level; the fused MAC reads the
+    // towers of the plaintext's basis (a prefix of the data moduli) by
+    // chain index. Canonical residues, so e + b*v equals b*v + e.
     Ciphertext ct;
-    ct.c0 = b;
-    ct.c0 *= v;
-    ct.c0 += e0;
+    ct.c0 = std::move(e0);
+    ct.c0.addMulAssign(pk_.b, v);
     ct.c0 += m;
-    ct.c1 = a;
-    ct.c1 *= v;
-    ct.c1 += e1;
+    ct.c1 = std::move(e1);
+    ct.c1.addMulAssign(pk_.a, v);
     ct.scale = scale;
     return ct;
 }

@@ -15,8 +15,12 @@ namespace cl {
 class Encryptor
 {
   public:
+    /** Holds @p pk by reference: the key must outlive the
+     *  encryptor. */
     Encryptor(const CkksContext &ctx, const PublicKey &pk,
               std::uint64_t seed = 42);
+    Encryptor(const CkksContext &ctx, PublicKey &&pk,
+              std::uint64_t seed = 42) = delete;
 
     /** Encrypt a plaintext polynomial (NTT or coeff form) at its level. */
     Ciphertext encrypt(const RnsPoly &plain, double scale) const;
@@ -28,7 +32,7 @@ class Encryptor
 
   private:
     const CkksContext &ctx_;
-    PublicKey pk_;
+    const PublicKey &pk_;
     mutable FastRng rng_;
 };
 

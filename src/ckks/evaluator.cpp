@@ -162,6 +162,7 @@ Evaluator::decompose(const RnsPoly &d, unsigned alpha_ks) const
     CL_ASSERT(a >= 1, "digit size must be at least 1");
     OpCounter &ops = ctx_.ops();
     ops.decomposes++;
+    ops += opcost::keySwitch(l, a, ctx_.n()).hostModUp();
 
     KeySwitchDigits out;
     out.level = l;
@@ -176,7 +177,6 @@ Evaluator::decompose(const RnsPoly &d, unsigned alpha_ks) const
     // domain.
     RnsPoly d_coeff = d;
     d_coeff.toCoeff();
-    ops.ntts += l;
 
     const unsigned dnum = static_cast<unsigned>(ceilDiv(l, a));
     out.u.reserve(dnum);
@@ -209,10 +209,6 @@ Evaluator::decompose(const RnsPoly &d, unsigned alpha_ks) const
                 raised.push_back(u.residue(t).data());
         }
         conv.convert(digit_res, raised);
-        ops.polyMults += digit_idx.size() +
-                         digit_idx.size() * comp_idx.size();
-        ops.polyAdds += digit_idx.size() * comp_idx.size();
-        ops.ntts += comp_idx.size();
 
         parallelFor(0, ext_idx.size(), [&](std::size_t t) {
             const unsigned ci = ext_idx[t];
@@ -241,7 +237,8 @@ Evaluator::automorphismDigits(const KeySwitchDigits &digits,
     out.u.reserve(digits.u.size());
     for (const RnsPoly &u : digits.u)
         out.u.push_back(u.automorphism(galois));
-    ctx_.ops().automorphisms += digits.u.size() * digits.extIdx.size();
+    ctx_.ops() += opcost::keySwitch(digits.level, digits.alphaKs, ctx_.n())
+                      .hostDigitRotation();
     return out;
 }
 
@@ -258,6 +255,8 @@ Evaluator::innerProduct(const KeySwitchDigits &digits,
               " digits, need ", dnum);
     OpCounter &ops = ctx_.ops();
     ops.innerProducts++;
+    ops += opcost::keySwitch(digits.level, digits.alphaKs, ctx_.n())
+               .hostInnerProduct();
 
     RnsPoly acc0(ctx_.chain(), digits.extIdx, true);
     RnsPoly acc1(ctx_.chain(), digits.extIdx, true);
@@ -266,8 +265,6 @@ Evaluator::innerProduct(const KeySwitchDigits &digits,
         // towers are selected by chain index, no subset copies.
         acc0.addMulAssign(ksk.b[j], digits.u[j]);
         acc1.addMulAssign(ksk.a[j], digits.u[j]);
-        ops.polyMults += 2 * digits.extIdx.size();
-        ops.polyAdds += 2 * digits.extIdx.size();
     }
     return {std::move(acc0), std::move(acc1)};
 }
@@ -310,10 +307,11 @@ Evaluator::innerProduct(const KeySwitchDigits &digits, const SwitchKey &ksk,
     ops.innerProducts++;
     const std::size_t ext = digits.extIdx.size();
     const std::size_t n = ctx_.n();
+    const opcost::KeySwitch ks =
+        opcost::keySwitch(digits.level, digits.alphaKs, n);
+    ops += ks.hostInnerProduct();
     if (galois != 1) // the gather passes charge the measurement side
-        ops.automorphisms += u64{dnum} * ext;
-    ops.polyMults += 2 * u64{dnum} * ext;
-    ops.polyAdds += 2 * u64{dnum} * ext;
+        ops += ks.hostDigitRotation();
     countMults(2 * u64{dnum} * ext);
     countAdds(2 * u64{dnum} * ext);
     // Per tower: each MAC pass streams only its hint tower (the digit
@@ -396,20 +394,15 @@ Evaluator::modDown(const RnsPoly &acc) const
     const unsigned a = static_cast<unsigned>(special_idx.size());
     OpCounter &ops = ctx_.ops();
     ops.modDowns++;
+    ops += opcost::keySwitch(l, a, ctx_.n()).hostModDown();
 
     // Listing 1, lines 7-10 (mod-down): divide by P.
     const BaseConverter &down =
         ctx_.converter(special_idx, ctx_.dataIdx(l));
     RnsPoly special = acc.subset(special_idx);
     special.toCoeff();
-    ops.ntts += a;
     std::vector<std::vector<u64>> conv_out;
     down.convert(special.residueViews(), conv_out);
-    ops.polyMults += a + a * l;
-    ops.polyAdds += a * l;
-    ops.ntts += l;
-    ops.polyMults += l;
-    ops.polyAdds += l;
 
     // The fused subtract-multiply below is a direct kernel call, not an
     // RnsPoly operator, so instrument it here: one mult + one add pass
@@ -460,8 +453,7 @@ Evaluator::multiply(const Ciphertext &a, const Ciphertext &b,
     RnsPoly t1b = a.c1;
     t1b *= b.c0;
     t1a += t1b;
-    ctx_.ops().polyMults += 4 * a.level();
-    ctx_.ops().polyAdds += a.level();
+    ctx_.ops() += opcost::tensor(a.level()).host();
 
     auto [k0, k1] = keySwitch(t2, relin);
     Ciphertext r;
@@ -469,7 +461,8 @@ Evaluator::multiply(const Ciphertext &a, const Ciphertext &b,
     r.c0 += k0;
     r.c1 = std::move(t1a);
     r.c1 += k1;
-    ctx_.ops().polyAdds += 2 * a.level();
+    ctx_.ops().polyAdds +=
+        opcost::keySwitch(a.level(), relin.alphaKs, ctx_.n()).combineAdds;
     r.scale = a.scale * b.scale;
     return r;
 }
@@ -484,8 +477,7 @@ Evaluator::square(const Ciphertext &a, const SwitchKey &relin) const
     RnsPoly t1 = a.c0;
     t1 *= a.c1;
     t1 += t1; // 2*c0*c1
-    ctx_.ops().polyMults += 3 * a.level();
-    ctx_.ops().polyAdds += a.level();
+    ctx_.ops() += opcost::square(a.level()).host();
 
     auto [k0, k1] = keySwitch(t2, relin);
     Ciphertext r;
@@ -493,7 +485,8 @@ Evaluator::square(const Ciphertext &a, const SwitchKey &relin) const
     r.c0 += k0;
     r.c1 = std::move(t1);
     r.c1 += k1;
-    ctx_.ops().polyAdds += 2 * a.level();
+    ctx_.ops().polyAdds +=
+        opcost::keySwitch(a.level(), relin.alphaKs, ctx_.n()).combineAdds;
     r.scale = a.scale * a.scale;
     return r;
 }
@@ -501,19 +494,15 @@ Evaluator::square(const Ciphertext &a, const SwitchKey &relin) const
 void
 Evaluator::rescale(Ciphertext &ct) const
 {
-    // Charge against the PRE-drop level l: each polynomial does l
-    // inverse NTTs (all towers enter the coefficient domain), the
-    // correction pass over the l-1 kept towers, and l-1 forward NTTs
-    // back. Charging after rescaleLastTower() undercounts the domain
-    // round trip by one tower per direction per polynomial.
+    // Charge against the PRE-drop level l: each polynomial takes all l
+    // towers out of NTT form (Rescale::keptIntts), corrects the l-1
+    // kept towers and transforms them back.
     const unsigned l = ct.level();
     const u64 q_last = ct.c0.modulus(l - 1);
     ct.c0.rescaleLastTower();
     ct.c1.rescaleLastTower();
     ct.scale /= static_cast<double>(q_last);
-    ctx_.ops().ntts += 2 * (2 * l - 1); // l down + (l-1) up, per poly
-    ctx_.ops().polyMults += 2 * (l - 1);
-    ctx_.ops().polyAdds += 2 * (l - 1);
+    ctx_.ops() += opcost::rescale(l, l - 1).host();
 }
 
 void
@@ -577,7 +566,6 @@ Evaluator::rotateByGaloisHoisted(const Ciphertext &a, std::size_t galois,
     if (galois == 1)
         return a;
     RnsPoly c0_rot = a.c0.automorphism(galois);
-    ctx_.ops().automorphisms += a.level();
 
     // Digit rotation fused into the inner product: the permuted digit
     // residues are gathered tower by tower inside the MAC sweep
@@ -590,7 +578,7 @@ Evaluator::rotateByGaloisHoisted(const Ciphertext &a, std::size_t galois,
     r.c0 += k0;
     r.c1 = std::move(k1);
     r.scale = a.scale;
-    ctx_.ops().polyAdds += a.level();
+    ctx_.ops() += opcost::rotation(a.level()).host();
     return r;
 }
 
@@ -640,13 +628,7 @@ Evaluator::modRaise(const Ciphertext &ct, unsigned target_level) const
     r.c0 = raise(ct.c0);
     r.c1 = raise(ct.c1);
     r.scale = ct.scale;
-    const std::size_t ls = src_idx.size();
-    const std::size_t ld = add_idx.size();
-    ctx_.ops().ntts += 2 * (ls + target_level);
-    // The change-RNS-base itself: per polynomial, one Shoup multiply
-    // per source tower plus an ls-term MAC row per raised tower.
-    ctx_.ops().polyMults += 2 * (ls + ls * ld);
-    ctx_.ops().polyAdds += 2 * (ls * ld);
+    ctx_.ops() += opcost::modRaise(ct.level(), target_level).host();
     return r;
 }
 

@@ -38,13 +38,6 @@ struct CkksParams
     std::size_t slots() const { return n() / 2; }
     double scale() const { return static_cast<double>(1ULL << scaleBits); }
 
-    /** Number of keyswitch digits when l_cur towers are live. */
-    unsigned
-    digits(unsigned l_cur) const
-    {
-        return static_cast<unsigned>(ceilDiv(l_cur, alpha));
-    }
-
     /**
      * Small test-friendly parameter set: N=2^12, L=4 levels.
      * Functional correctness at these parameters implies correctness

@@ -20,6 +20,7 @@
 
 #include "util/bootshape.h"
 #include "util/common.h"
+#include "util/opcost.h"
 
 namespace cl {
 
@@ -50,6 +51,47 @@ struct HomOp
     std::string plainId;      ///< Plaintext identity (reuse).
     std::uint32_t digits = 1; ///< Keyswitch digit count t (Sec 3.1).
 };
+
+/**
+ * The op-cost stages (util/opcost.h) one op performs at its own level;
+ * the stages it lacks stay zero. The lowering and the CPU model each
+ * sum the fields their algorithm performs.
+ */
+struct HomOpCost
+{
+    opcost::KeySwitch ks;      ///< Mul, Rotate, Conjugate: digits of
+                               ///  ceil(level / digits) towers.
+    opcost::Tensor tensor;     ///< Mul.
+    opcost::Rotation rotation; ///< Rotate, Conjugate.
+    opcost::Rescale rescale;   ///< Mul, MulPlain, Rescale below level.
+    opcost::ModRaise raise;    ///< ModRaise.
+    std::uint64_t plainMuls = 0; ///< MulPlain: 2·level.
+    std::uint64_t adds = 0;      ///< Add: 2·level; AddPlain: level.
+};
+
+inline HomOpCost
+homOpCost(const HomOp &op, std::size_t n)
+{
+    using K = HomOpKind;
+    const unsigned l = op.level, lo = op.outLevel;
+    const bool mul = op.kind == K::Mul;
+    const bool rot = op.kind == K::Rotate || op.kind == K::Conjugate;
+    HomOpCost c;
+    if (mul || rot)
+        c.ks = opcost::keySwitch(
+            l, static_cast<unsigned>(ceilDiv(l, op.digits)), n);
+    if (mul)
+        c.tensor = opcost::tensor(l);
+    if (rot)
+        c.rotation = opcost::rotation(l);
+    if ((mul || op.kind == K::MulPlain || op.kind == K::Rescale) && lo < l)
+        c.rescale = opcost::rescale(l, lo);
+    if (op.kind == K::ModRaise)
+        c.raise = opcost::modRaise(l, lo);
+    c.plainMuls = op.kind == K::MulPlain ? 2ull * l : 0;
+    c.adds = op.kind == K::Add ? 2ull * l : op.kind == K::AddPlain ? l : 0;
+    return c;
+}
 
 struct HomProgram
 {

@@ -1,6 +1,7 @@
 #include "lower.h"
 
 #include <algorithm>
+#include <initializer_list>
 #include <string_view>
 #include <unordered_map>
 
@@ -28,6 +29,15 @@ class DenseCache
 
   private:
     std::vector<std::vector<std::uint32_t>> rows_;
+};
+
+/** One FU class's share of an instruction: the units it holds and
+ *  its residue vectors of work. */
+struct Work
+{
+    FuType type;
+    unsigned units;
+    std::uint64_t vecs;
 };
 
 } // namespace
@@ -121,9 +131,9 @@ Lowering::lower(const HomProgram &hp)
     DenseCache kshCache(kshMaxLevel.size());
     DenseCache plainCache(plains.size());
 
-    auto ct_words = [&](unsigned l) {
-        return static_cast<std::uint64_t>(2) * l * n;
-    };
+    // A ciphertext at l towers is 2l residue vectors.
+    auto ct_vecs = [](unsigned l) { return 2ull * l; };
+    auto ct_words = [&](unsigned l) { return ct_vecs(l) * n; };
 
     auto clamp_ports = [&](unsigned p) {
         return std::min(p, cfg_.rfPorts);
@@ -149,23 +159,22 @@ Lowering::lower(const HomProgram &hp)
                   " keyswitches without a key id");
         const unsigned lk = kshMaxLevel[key];
         const unsigned tk = std::min(t, lk);
-        const unsigned a = static_cast<unsigned>(ceilDiv(lk, tk));
-        const unsigned ext = lk + a;
-        // lk towers in digits of a towers (the last one may be short)
-        // make ceil(lk / a) digits, which can be fewer than tk.
-        const unsigned dnum = static_cast<unsigned>(ceilDiv(lk, a));
-        std::uint32_t &slot = kshCache.at(key, dnum);
+        // lk towers in digits of ceil(lk / tk) towers (the last one
+        // may be short) make ceil(lk / alpha) digits, which can be
+        // fewer than tk.
+        const opcost::KeySwitch hint = opcost::keySwitch(
+            lk, static_cast<unsigned>(ceilDiv(lk, tk)), n);
+        std::uint32_t &slot = kshCache.at(key, hint.dnum);
         if (slot != noValue)
             return slot;
         // Full hint: dnum pairs over ext moduli. With KSHGen, only
         // the b-halves are stored/loaded (Sec 5.2).
-        std::uint64_t words =
-            static_cast<std::uint64_t>(2) * dnum * ext * n;
+        std::uint64_t words = hint.hintWords;
         if (cfg_.hasKshGen)
             words /= 2;
         slot = prog.addValue(ValueKind::KeySwitchHint, words);
         Value &v = prog.values[slot];
-        v.name = op.keyId + "#d" + std::to_string(dnum);
+        v.name = op.keyId + "#d" + std::to_string(hint.dnum);
         v.seededHalf = cfg_.hasKshGen;
         return slot;
     };
@@ -180,241 +189,185 @@ Lowering::lower(const HomProgram &hp)
         return slot;
     };
 
-    // An instruction of op @p hom_op's @p stage (a static string).
-    auto make_inst = [&](std::uint32_t hom_op, const char *stage) {
+    /**
+     * Emit one instruction of op @p hom_op's @p stage (a static
+     * string) writing @p write. Each work item holds its units for
+     * ceilDiv(vecs, units) vector slots and the slowest sets the
+     * duration; the CRB and KSHGen keep pace with the chain
+     * (@p min_slots covers the CRB's own stream). An NTT vector is
+     * n·logN/2 butterflies and one transpose over the network, an
+     * automorphism vector two transposes.
+     */
+    auto emit = [&](std::uint32_t hom_op, const char *stage,
+                    std::initializer_list<Work> work,
+                    std::initializer_list<std::uint32_t> reads,
+                    std::uint32_t write,
+                    unsigned ports, std::uint64_t rf_words,
+                    std::uint64_t min_slots = 0) {
         PolyInst inst;
         inst.homOp = hom_op;
         inst.stage = stage;
         inst.n = n;
-        return inst;
+        std::uint64_t slots = min_slots;
+        for (const Work &w : work) {
+            const bool ntt = w.type == FuType::Ntt;
+            inst.fus.push_back(
+                {w.type, w.units, w.vecs * (ntt ? bflyPerVec : n)});
+            if (ntt || w.type == FuType::Automorphism)
+                inst.networkWords += w.vecs * n * (ntt ? 1 : 2);
+            // (A single unit needs no 64-bit divide.)
+            if (w.type != FuType::Crb && w.type != FuType::KshGen)
+                slots = std::max(slots, w.units == 1
+                                            ? w.vecs
+                                            : ceilDiv(w.vecs, w.units));
+        }
+        inst.reads.assign(reads.begin(), reads.end());
+        inst.writes = {write};
+        inst.duration = slots * vc;
+        inst.rfPorts = clamp_ports(ports);
+        inst.rfWords = rf_words;
+        prog.addInst(inst);
     };
 
+    // LowerStats: vectors of NTT, multiply, add and CRB-MAC work.
+    auto count = [&](std::uint64_t ntt, std::uint64_t mul, std::uint64_t add,
+                     std::uint64_t crb) {
+        stats_.nttVectors += ntt;
+        stats_.mulVectors += mul;
+        stats_.addVectors += add;
+        stats_.crbMacVectors += crb;
+    };
+
+    const bool chained_crb = cfg_.hasCrb && cfg_.hasChaining;
     // Parallelism the register file allows for unchained 3-port MACs.
     const unsigned sw_par = std::max(
         1u, std::min({cfg_.mulUnits, cfg_.addUnits, cfg_.rfPorts / 3u}));
 
     /**
-     * Emit op's keyswitch of a single polynomial (op.level towers,
-     * op.digits digits) under its hint, fused with a final combine-add
-     * into the output value. `extra_read` is the ciphertext part added
-     * in at the end (tensor product or rotated c0). Returns nothing;
-     * the result is written to `out_vid`.
+     * Emit op's keyswitch @p k of a single polynomial under its hint,
+     * fused with a final combine-add of @p extra_read (tensor product
+     * or rotated c0) into `out_vid`.
      */
-    auto emit_keyswitch = [&](const HomOp &op, std::uint32_t in_vid,
+    auto emit_keyswitch = [&](const HomOp &op, const opcost::KeySwitch &k,
+                              std::uint32_t in_vid,
                               std::uint32_t extra_read,
                               std::uint32_t out_vid) {
-        const std::uint32_t hom_op = op.id;
+        const std::uint32_t id = op.id;
         const unsigned l = op.level;
-        const unsigned t = op.digits;
         ++stats_.keyswitches;
-        const unsigned a = static_cast<unsigned>(ceilDiv(l, t));
-        const unsigned dnum = static_cast<unsigned>(ceilDiv(l, a));
-        const unsigned ext = l + a;
-        const std::uint32_t ksh = get_ksh(op, t);
+        count(k.chipNtts(), k.chipMuls(), k.chipAdds(), k.chipCrbMacs());
+        const std::uint32_t ksh = get_ksh(op, op.digits);
 
         // --- Mod-up: INTT l, change base per digit, NTT the raised
-        //     residues (Listing 1, lines 2-4). ---
-        std::uint64_t crb_macs = 0;
-        for (unsigned left = l; left > 0;) {
-            const unsigned dj = std::min(a, left);
-            // Single-prime digits lift by broadcast (no multiplies).
-            if (dj > 1)
-                crb_macs += static_cast<std::uint64_t>(dj) * (ext - dj);
-            left -= dj;
-        }
-        const std::uint64_t ntt_mu =
-            static_cast<std::uint64_t>(dnum) * ext; // INTT l + NTT rest
-        stats_.nttVectors += ntt_mu;
-        stats_.crbMacVectors += crb_macs;
-
+        //     residues (Listing 1, lines 2-4). Single-prime digits
+        //     lift by broadcast, so only modUpMacs reach the CRB. ---
+        const std::uint64_t crb_macs = k.modUpMacs;
+        const std::uint64_t ntt_mu = k.modUpIntts + k.modUpNtts;
+        const std::uint64_t raised_towers = ntt_mu; // dnum * ext
         const std::uint32_t raised = prog.addValue(
-            ValueKind::Intermediate,
-            static_cast<std::uint64_t>(dnum) * ext * n, "raised", hom_op);
-
-        if (cfg_.hasCrb && cfg_.hasChaining) {
-            PolyInst mu = make_inst(hom_op, "ksw.modup");
-            const unsigned nu = par(cfg_.nttUnits, ntt_mu);
-            mu.fus = {{FuType::Ntt, nu, ntt_mu * bflyPerVec},
-                      {FuType::Crb, 1, crb_macs * n}};
-            mu.reads = {in_vid};
-            mu.writes = {raised};
-            mu.duration =
-                std::max(ceilDiv(ntt_mu, nu) * vc,
-                         std::max<std::uint64_t>(l, dnum * ext - l) * vc);
-            mu.networkWords = ntt_mu * n;
-            mu.rfPorts = clamp_ports(2);
-            mu.rfWords = (l + static_cast<std::uint64_t>(dnum) * ext) * n;
-            prog.addInst(std::move(mu));
+            ValueKind::Intermediate, raised_towers * n, "raised", id);
+        if (chained_crb) {
+            emit(id, "ksw.modup",
+                 {{FuType::Ntt, par(cfg_.nttUnits, ntt_mu), ntt_mu},
+                  {FuType::Crb, 1, crb_macs}},
+                 {in_vid}, raised, 2, (l + raised_towers) * n,
+                 std::max(k.modUpIntts, k.modUpNtts));
         } else {
             // Software change-RNS-base: the MACs flow through the
             // register file on the multiply/add units, throttled by
             // ports — the bottleneck the CRB removes (Sec 3, Sec 5.1).
-            PolyInst intt = make_inst(hom_op, "ksw.modup.intt");
-            const unsigned niu = par(cfg_.nttUnits, l);
-            intt.fus = {{FuType::Ntt, niu,
-                         static_cast<std::uint64_t>(l) * bflyPerVec}};
-            intt.reads = {in_vid};
-            intt.writes = {raised}; // staged in place
-            intt.duration = ceilDiv(l, niu) * vc;
-            intt.networkWords = static_cast<std::uint64_t>(l) * n;
-            intt.rfPorts = clamp_ports(2);
-            intt.rfWords = static_cast<std::uint64_t>(2) * l * n;
-            prog.addInst(std::move(intt));
-
-            if (crb_macs > 0) {
-                // Standard keyswitching (single-prime digits) lifts
-                // by broadcast and skips this stage entirely.
-                PolyInst mac = make_inst(hom_op, "ksw.modup.macs");
-                mac.fus = {{FuType::Multiply, sw_par, crb_macs * n},
-                           {FuType::Add, sw_par, crb_macs * n}};
-                mac.reads = {raised};
-                mac.writes = {raised};
-                mac.duration = ceilDiv(crb_macs, sw_par) * vc;
-                mac.rfPorts = clamp_ports(3 * sw_par);
-                mac.rfWords = 3 * crb_macs * n;
-                prog.addInst(std::move(mac));
-            }
-
-            PolyInst ntt = make_inst(hom_op, "ksw.modup.ntt");
-            const std::uint64_t ntt_out = ntt_mu - l;
-            const unsigned nou = par(cfg_.nttUnits, ntt_out);
-            ntt.fus = {{FuType::Ntt, nou, ntt_out * bflyPerVec}};
-            ntt.reads = {raised};
-            ntt.writes = {raised};
-            ntt.duration = ceilDiv(ntt_out, nou) * vc;
-            ntt.networkWords = ntt_out * n;
-            ntt.rfPorts = clamp_ports(2);
-            ntt.rfWords = 2 * ntt_out * n;
-            prog.addInst(std::move(ntt));
+            // The INTT stages its result in place.
+            emit(id, "ksw.modup.intt",
+                 {{FuType::Ntt, par(cfg_.nttUnits, k.modUpIntts),
+                   k.modUpIntts}},
+                 {in_vid}, raised, 2, 2ull * l * n);
+            // Standard keyswitching (single-prime digits) lifts by
+            // broadcast and skips this stage entirely.
+            if (crb_macs > 0)
+                emit(id, "ksw.modup.macs",
+                     {{FuType::Multiply, sw_par, crb_macs},
+                      {FuType::Add, sw_par, crb_macs}},
+                     {raised}, raised, 3 * sw_par, 3 * crb_macs * n);
+            emit(id, "ksw.modup.ntt",
+                 {{FuType::Ntt, par(cfg_.nttUnits, k.modUpNtts),
+                   k.modUpNtts}},
+                 {raised}, raised, 2, 2 * k.modUpNtts * n);
         }
 
         // --- Hint MAC: raised x (b_j, a_j), accumulating into two
         //     ext-tower polynomials (Listing 1, line 6; Fig 8). ---
-        const std::uint64_t mac_vecs =
-            static_cast<std::uint64_t>(2) * dnum * ext;
-        stats_.mulVectors += mac_vecs;
-        stats_.addVectors += mac_vecs;
-
+        const std::uint64_t mac_vecs = k.hintMacs;
         const std::uint32_t acc = prog.addValue(
-            ValueKind::Intermediate,
-            static_cast<std::uint64_t>(2) * ext * n, "acc", hom_op);
-
-        {
-            PolyInst mac = make_inst(hom_op, "ksw.mac");
-            const bool chained = cfg_.hasChaining;
-            const unsigned want =
-                chained ? 2u
-                        : std::max(1u, std::min(cfg_.mulUnits,
-                                                cfg_.rfPorts / 3u));
-            // Units actually acquired are bounded by the pools; the
-            // modelled latency must divide by that, not by the wish
-            // (on mulUnits < 2 configs the two differ).
-            const unsigned mu =
-                std::max(1u, std::min(want, cfg_.mulUnits));
-            const unsigned au =
-                std::max(1u, std::min(want, cfg_.addUnits));
-            mac.fus = {{FuType::Multiply, mu, mac_vecs * n},
-                       {FuType::Add, au, mac_vecs * n}};
-            if (cfg_.hasKshGen) {
-                mac.fus.push_back({FuType::KshGen, 1,
-                                   static_cast<std::uint64_t>(dnum) * ext *
-                                       n});
-            }
-            mac.reads = {raised, ksh};
-            mac.writes = {acc};
-            mac.duration = ceilDiv(mac_vecs, std::min(mu, au)) * vc;
-            mac.rfPorts = clamp_ports(chained ? 4 : 3 * want);
-            mac.rfWords =
-                (mac_vecs + (cfg_.hasKshGen ? mac_vecs / 2 : mac_vecs)) * n;
-            prog.addInst(std::move(mac));
-        }
+            ValueKind::Intermediate, 2ull * k.ext * n, "acc", id);
+        const unsigned want =
+            cfg_.hasChaining
+                ? 2u
+                : std::max(1u, std::min(cfg_.mulUnits, cfg_.rfPorts / 3u));
+        // Units actually acquired are bounded by the pools; the
+        // modelled latency must divide by that, not by the wish (on
+        // mulUnits < 2 configs the two differ).
+        const Work mul{FuType::Multiply,
+                       std::max(1u, std::min(want, cfg_.mulUnits)), mac_vecs};
+        const Work add{FuType::Add, std::max(1u, std::min(want, cfg_.addUnits)),
+                       mac_vecs};
+        const unsigned mac_ports = cfg_.hasChaining ? 4 : 3 * want;
+        if (cfg_.hasKshGen)
+            emit(id, "ksw.mac",
+                 {mul, add, {FuType::KshGen, 1, raised_towers}},
+                 {raised, ksh}, acc, mac_ports, (mac_vecs + mac_vecs / 2) * n);
+        else
+            emit(id, "ksw.mac", {mul, add}, {raised, ksh}, acc, mac_ports,
+                 2 * mac_vecs * n);
 
         // --- Mod-down + combine (Listing 1, lines 7-10). ---
-        const std::uint64_t ntt_md = static_cast<std::uint64_t>(2) *
-                                     (a + l);
-        const std::uint64_t md_macs =
-            static_cast<std::uint64_t>(2) * a * l;
-        stats_.nttVectors += ntt_md;
-        stats_.crbMacVectors += md_macs;
-        stats_.mulVectors += 2ull * l;
-        stats_.addVectors += 4ull * l; // subtract + combine
-
-        {
-            PolyInst md = make_inst(hom_op, "ksw.moddown");
-            const unsigned nmu = par(cfg_.nttUnits, ntt_md);
-            if (cfg_.hasCrb && cfg_.hasChaining) {
-                // Clamp the scale/combine stages to the pools and let
-                // the slowest stage of the chain set the occupancy:
-                // the NTT round trips, 2l multiplies on one unit, or
-                // 4l adds on the units actually acquired.
-                const unsigned mda =
-                    std::max(1u, std::min(2u, cfg_.addUnits));
-                md.fus = {{FuType::Ntt, nmu, ntt_md * bflyPerVec},
-                          {FuType::Crb, 1, md_macs * n},
-                          {FuType::Multiply, 1, 2ull * l * n},
-                          {FuType::Add, mda, 4ull * l * n}};
-                md.duration =
-                    std::max<std::uint64_t>({ceilDiv(ntt_md, nmu),
-                                             2ull * l,
-                                             ceilDiv(4ull * l, mda)}) *
-                    vc;
-                md.rfPorts = clamp_ports(4);
-            } else {
-                md.fus = {{FuType::Ntt, nmu, ntt_md * bflyPerVec},
-                          {FuType::Multiply, std::min(sw_par,
-                                                      cfg_.mulUnits),
-                           (md_macs + 2ull * l) * n},
-                          {FuType::Add, std::min(sw_par, cfg_.addUnits),
-                           (md_macs + 4ull * l) * n}};
-                md.duration =
-                    std::max(ceilDiv(ntt_md, nmu),
-                             ceilDiv(md_macs + 4 * l, sw_par)) * vc;
-                md.rfPorts = clamp_ports(3 * sw_par);
-            }
-            md.reads = {acc};
-            if (extra_read != noValue)
-                md.reads.push_back(extra_read);
-            md.writes = {out_vid};
-            md.networkWords = ntt_md * n;
-            md.rfWords = (2ull * ext + 4ull * l) * n;
-            prog.addInst(std::move(md));
+        const std::uint64_t ntt_md = k.modDownNtts;
+        const std::uint64_t md_macs = k.modDownMacs;
+        const std::uint64_t md_muls = k.pInvMuls;
+        const std::uint64_t md_adds = k.subAdds + k.combineAdds;
+        const Work md_ntt{FuType::Ntt, par(cfg_.nttUnits, ntt_md), ntt_md};
+        const std::uint64_t md_words = (2ull * k.ext + 4ull * l) * n;
+        if (chained_crb) {
+            // Clamp the scale/combine stages to the pools and let the
+            // slowest stage of the chain set the occupancy: the NTT
+            // round trips, the P^-1 multiplies on one unit, or the adds
+            // on the units actually acquired.
+            emit(id, "ksw.moddown",
+                 {md_ntt, {FuType::Crb, 1, md_macs},
+                  {FuType::Multiply, 1, md_muls},
+                  {FuType::Add, std::max(1u, std::min(2u, cfg_.addUnits)),
+                   md_adds}},
+                 {acc, extra_read}, out_vid, 4, md_words);
+        } else {
+            emit(id, "ksw.moddown",
+                 {md_ntt,
+                  {FuType::Multiply, std::min(sw_par, cfg_.mulUnits),
+                   md_macs + md_muls},
+                  {FuType::Add, std::min(sw_par, cfg_.addUnits),
+                   md_macs + md_adds}},
+                 {acc, extra_read}, out_vid, 3 * sw_par, md_words);
         }
     };
 
     /**
-     * Emit op's rescale from op.level to op.outLevel towers: INTT the
-     * dropped towers, correct and NTT back into the remaining ones.
-     * Returns the value holding the rescaled ciphertext.
+     * Emit op's rescale @p r from op.level to op.outLevel towers: INTT
+     * the dropped towers, correct and NTT back into the remaining ones
+     * (the chip never takes a kept tower out of NTT form). Each stage
+     * divides by the units it actually acquired. Returns the value
+     * holding the rescaled ciphertext.
      */
-    auto emit_rescale = [&](const HomOp &op,
+    auto emit_rescale = [&](const HomOp &op, const opcost::Rescale &r,
                             std::uint32_t in_vid) -> std::uint32_t {
         const unsigned l = op.level;
         const unsigned lo = op.outLevel;
-        const std::uint64_t ntt_rs = 2ull * (l - lo) + 2ull * lo;
+        const std::uint64_t ntt_rs = r.chipNtts();
         const std::uint32_t out = prog.addValue(
             ValueKind::Intermediate, ct_words(lo), "out", op.id);
-        PolyInst rs = make_inst(op.id, "rescale");
-        const unsigned rsu = par(cfg_.nttUnits, ntt_rs);
-        const unsigned rmu = par(cfg_.mulUnits, 2ull * lo);
-        const unsigned rau = par(cfg_.addUnits, 2ull * lo);
-        rs.fus = {{FuType::Ntt, rsu, ntt_rs * bflyPerVec},
-                  {FuType::Multiply, rmu, 2ull * lo * n},
-                  {FuType::Add, rau, 2ull * lo * n}};
-        rs.reads = {in_vid};
-        rs.writes = {out};
-        // Slowest stage of the chain, each divided by the units it
-        // actually acquired.
-        rs.duration = std::max<std::uint64_t>({ceilDiv(ntt_rs, rsu),
-                                               ceilDiv(2ull * lo, rmu),
-                                               ceilDiv(2ull * lo, rau)}) *
-                      vc;
-        rs.networkWords = ntt_rs * n;
-        rs.rfPorts = clamp_ports(3);
-        rs.rfWords = (2ull * l + 2ull * lo) * n;
-        stats_.nttVectors += ntt_rs;
-        stats_.mulVectors += 2ull * lo;
-        stats_.addVectors += 2ull * lo;
-        prog.addInst(std::move(rs));
+        emit(op.id, "rescale",
+             {{FuType::Ntt, par(cfg_.nttUnits, ntt_rs), ntt_rs},
+              {FuType::Multiply, par(cfg_.mulUnits, r.muls), r.muls},
+              {FuType::Add, par(cfg_.addUnits, r.adds), r.adds}},
+             {in_vid}, out, 3, (2ull * l + 2ull * lo) * n);
+        count(ntt_rs, r.muls, r.adds, 0);
         return out;
     };
 
@@ -422,222 +375,128 @@ Lowering::lower(const HomProgram &hp)
     for (const HomOp &op : hp.ops) {
         const unsigned l = op.level;
         const unsigned lo = op.outLevel;
+        const HomOpCost c = homOpCost(op, n);
+        std::uint32_t &out = valueOf[op.id];
 
         switch (op.kind) {
-          case HomOpKind::Input: {
-            valueOf[op.id] =
-                prog.addValue(ValueKind::Input, ct_words(l), "in", op.id);
+          case HomOpKind::Input:
+            out = prog.addValue(ValueKind::Input, ct_words(l), "in", op.id);
             break;
-          }
-          case HomOpKind::Output: {
-            const std::uint32_t src = valueOf[op.args[0]];
+          case HomOpKind::Output:
             // Copy into an output-class value so the store is
-            // accounted (and the source may still be consumed).
-            const std::uint32_t out = prog.addValue(
-                ValueKind::Output, ct_words(l), "out", op.id);
-            PolyInst cp = make_inst(op.id, "store");
-            cp.fus = {{FuType::Add, 1, ct_words(l)}};
-            cp.reads = {src};
-            cp.writes = {out};
-            cp.duration = ceilDiv(2ull * l, 1) * vc;
-            cp.rfPorts = clamp_ports(2);
-            cp.rfWords = 2 * ct_words(l);
-            prog.addInst(std::move(cp));
-            valueOf[op.id] = out;
+            // accounted (and the source may still be consumed). Copies
+            // pass through an add unit.
+            out = prog.addValue(ValueKind::Output, ct_words(l), "out",
+                                op.id);
+            emit(op.id, "store", {{FuType::Add, 1, ct_vecs(l)}},
+                 {valueOf[op.args[0]]}, out, 2, 2 * ct_words(l));
             break;
-          }
-          case HomOpKind::Add: {
-            const std::uint32_t out = prog.addValue(
-                ValueKind::Intermediate, ct_words(l), "sum", op.id);
-            PolyInst inst = make_inst(op.id, "add");
-            const unsigned apu = par(cfg_.addUnits, 2ull * l);
-            inst.fus = {{FuType::Add, apu, ct_words(l)}};
-            inst.reads = {valueOf[op.args[0]], valueOf[op.args[1]]};
-            inst.writes = {out};
-            inst.duration = ceilDiv(2ull * l, apu) * vc;
-            inst.rfPorts = clamp_ports(3);
-            inst.rfWords = 3 * ct_words(l);
-            stats_.addVectors += 2ull * l;
-            prog.addInst(std::move(inst));
-            valueOf[op.id] = out;
+          case HomOpKind::Add:
+            out = prog.addValue(ValueKind::Intermediate, ct_words(l), "sum",
+                                op.id);
+            emit(op.id, "add",
+                 {{FuType::Add, par(cfg_.addUnits, c.adds), c.adds}},
+                 {valueOf[op.args[0]], valueOf[op.args[1]]}, out, 3,
+                 3 * ct_words(l));
+            count(0, 0, c.adds, 0);
             break;
-          }
-          case HomOpKind::AddPlain: {
-            const std::uint32_t out = prog.addValue(
-                ValueKind::Intermediate, ct_words(l), "sum", op.id);
-            PolyInst inst = make_inst(op.id, "addp");
-            inst.fus = {{FuType::Add, 1, static_cast<std::uint64_t>(l) *
-                                             n}};
-            inst.reads = {valueOf[op.args[0]],
-                          get_plain(op, l)};
-            inst.writes = {out};
-            inst.duration = static_cast<std::uint64_t>(l) * vc;
-            inst.rfPorts = clamp_ports(3);
-            inst.rfWords = (3ull * l) * n;
-            stats_.addVectors += l;
-            prog.addInst(std::move(inst));
-            valueOf[op.id] = out;
+          case HomOpKind::AddPlain:
+            out = prog.addValue(ValueKind::Intermediate, ct_words(l), "sum",
+                                op.id);
+            emit(op.id, "addp", {{FuType::Add, 1, c.adds}},
+                 {valueOf[op.args[0]], get_plain(op, l)}, out, 3,
+                 3ull * l * n);
+            count(0, 0, c.adds, 0);
             break;
-          }
           case HomOpKind::MulPlain: {
-            const unsigned drop = l - lo;
-            const std::uint32_t out = prog.addValue(
-                ValueKind::Intermediate, ct_words(lo), "prod", op.id);
-            PolyInst inst = make_inst(op.id, "mulp");
-            const std::uint64_t mul_vecs = 2ull * l;
-            std::uint64_t ntt_vecs = 0;
-            const unsigned mpu = par(cfg_.mulUnits, mul_vecs);
-            unsigned npu = 1;
-            inst.fus = {{FuType::Multiply, mpu, mul_vecs * n}};
-            unsigned apu = 1;
-            if (drop > 0) {
-                // Fused rescale: INTT dropped towers, correct and NTT
-                // back into the remaining ones.
-                ntt_vecs = 2ull * drop + 2ull * lo;
-                npu = par(cfg_.nttUnits, ntt_vecs);
-                apu = par(cfg_.addUnits, 2ull * lo);
-                inst.fus.push_back({FuType::Ntt, npu,
-                                    ntt_vecs * bflyPerVec});
-                inst.fus.push_back({FuType::Add, apu, 2ull * lo * n});
-                inst.networkWords = ntt_vecs * n;
-            }
-            inst.reads = {valueOf[op.args[0]], get_plain(op, l)};
-            inst.writes = {out};
-            // Every stage's latency divides by the units it acquired;
-            // the correction adds can bound the pass on few-adder
-            // configs.
-            inst.duration =
-                std::max<std::uint64_t>(
-                    {ceilDiv(mul_vecs, mpu), ceilDiv(ntt_vecs, npu),
-                     drop > 0 ? ceilDiv(2ull * lo, apu) : 0ull}) *
-                vc;
-            inst.rfPorts = clamp_ports(4);
-            inst.rfWords = (3ull * l + 2ull * lo) * n;
-            stats_.mulVectors += mul_vecs;
-            stats_.nttVectors += ntt_vecs;
-            if (drop > 0)
-                stats_.addVectors += 2ull * lo;
-            prog.addInst(std::move(inst));
-            valueOf[op.id] = out;
+            out = prog.addValue(ValueKind::Intermediate, ct_words(lo),
+                                "prod", op.id);
+            const std::uint64_t mul_vecs = c.plainMuls;
+            const std::uint64_t ntt_vecs = c.rescale.chipNtts();
+            const std::uint64_t add_vecs = c.rescale.adds;
+            const Work mul{FuType::Multiply, par(cfg_.mulUnits, mul_vecs),
+                           mul_vecs};
+            const std::uint32_t plain = get_plain(op, l);
+            const std::uint64_t rf_words = (3ull * l + 2ull * lo) * n;
+            // Fused rescale: INTT dropped towers, correct and NTT back
+            // into the remaining ones; the correction multiply rides
+            // the plaintext multiply, and the correction adds can bound
+            // the pass on few-adder configs.
+            if (lo < l)
+                emit(op.id, "mulp",
+                     {mul,
+                      {FuType::Ntt, par(cfg_.nttUnits, ntt_vecs), ntt_vecs},
+                      {FuType::Add, par(cfg_.addUnits, add_vecs), add_vecs}},
+                     {valueOf[op.args[0]], plain}, out, 4, rf_words);
+            else
+                emit(op.id, "mulp", {mul}, {valueOf[op.args[0]], plain}, out,
+                     4, rf_words);
+            count(ntt_vecs, mul_vecs, add_vecs, 0);
             break;
           }
           case HomOpKind::Mul: {
-            const unsigned drop = l - lo;
-            const std::uint32_t va = valueOf[op.args[0]];
-            const std::uint32_t vb = valueOf[op.args[1]];
-            // Tensor product: t2 = a1*b1 switched; (t0, t1) combined.
+            // Tensor product: t2 = a1*b1 switched; (t0, t1) combined,
+            // bounded by the multiplies or the combine adds.
             const std::uint32_t tensor = prog.addValue(
                 ValueKind::Intermediate, 3ull * l * n, "tensor", op.id);
-            PolyInst tp = make_inst(op.id, "tensor");
-            const std::uint64_t tmuls = 4ull * l;
-            const unsigned tpu = par(cfg_.mulUnits, tmuls);
-            const unsigned tau =
-                par(cfg_.addUnits, static_cast<std::uint64_t>(l));
-            tp.fus = {{FuType::Multiply, tpu, tmuls * n},
-                      {FuType::Add, tau,
-                       static_cast<std::uint64_t>(l) * n}};
-            tp.reads = {va, vb};
-            tp.writes = {tensor};
-            // Bounded by either the 4l multiplies or the l combine
-            // adds, each divided by the units actually acquired.
-            tp.duration =
-                std::max(ceilDiv(tmuls, tpu),
-                         ceilDiv(static_cast<std::uint64_t>(l), tau)) *
-                vc;
-            tp.rfPorts = clamp_ports(cfg_.hasChaining ? 5 : 6);
-            tp.rfWords = (4ull * l + 3ull * l) * n;
-            stats_.mulVectors += tmuls;
-            stats_.addVectors += l;
-            prog.addInst(std::move(tp));
+            const opcost::Tensor &t = c.tensor;
+            emit(op.id, "tensor",
+                 {{FuType::Multiply, par(cfg_.mulUnits, t.muls), t.muls},
+                  {FuType::Add, par(cfg_.addUnits, t.adds), t.adds}},
+                 {valueOf[op.args[0]], valueOf[op.args[1]]}, tensor,
+                 cfg_.hasChaining ? 5 : 6, (4ull * l + 3ull * l) * n);
+            count(0, t.muls, t.adds, 0);
 
             // Relinearize t2 and fold the combine into mod-down.
             const std::uint32_t ks = prog.addValue(
                 ValueKind::Intermediate, ct_words(l), "relin", op.id);
-            emit_keyswitch(op, tensor, tensor, ks);
+            emit_keyswitch(op, c.ks, tensor, tensor, ks);
 
-            // A lazy multiply (drop == 0) keeps its level: there is no
+            // A lazy multiply (lo == l) keeps its level: there is no
             // tower to strip, so emitting the rescale instruction
-            // anyway would charge 2*lo spurious NTT round trips plus
+            // anyway would charge spurious NTT round trips plus
             // phantom mult/add vectors for work no backend performs.
-            if (drop == 0) {
-                valueOf[op.id] = ks;
-                break;
-            }
-
-            valueOf[op.id] = emit_rescale(op, ks);
+            out = lo < l ? emit_rescale(op, c.rescale, ks) : ks;
             break;
           }
           case HomOpKind::Rotate:
           case HomOpKind::Conjugate: {
-            const std::uint32_t src = valueOf[op.args[0]];
             const std::uint32_t rot = prog.addValue(
                 ValueKind::Intermediate, ct_words(l), "rot", op.id);
-            PolyInst au = make_inst(op.id, "auto");
-            au.fus = {{FuType::Automorphism, 1, ct_words(l)}};
-            au.reads = {src};
-            au.writes = {rot};
-            au.duration = 2ull * l * vc;
-            au.networkWords = 2ull * ct_words(l); // two transposes each
-            au.rfPorts = clamp_ports(2);
-            au.rfWords = 2 * ct_words(l);
-            prog.addInst(std::move(au));
-
-            const std::uint32_t out = prog.addValue(
-                ValueKind::Intermediate, ct_words(l), "out", op.id);
-            emit_keyswitch(op, rot, rot, out);
-            valueOf[op.id] = out;
+            emit(op.id, "auto",
+                 {{FuType::Automorphism, 1, c.rotation.ctAutomorphisms}},
+                 {valueOf[op.args[0]]}, rot, 2, 2 * ct_words(l));
+            out = prog.addValue(ValueKind::Intermediate, ct_words(l), "out",
+                                op.id);
+            emit_keyswitch(op, c.ks, rot, rot, out);
             break;
           }
-          case HomOpKind::Rescale: {
-            valueOf[op.id] = emit_rescale(op, valueOf[op.args[0]]);
+          case HomOpKind::Rescale:
+            out = emit_rescale(op, c.rescale, valueOf[op.args[0]]);
             break;
-          }
-          case HomOpKind::LevelDrop: {
-            const std::uint32_t out = prog.addValue(
-                ValueKind::Intermediate, ct_words(lo), "out", op.id);
-            PolyInst cp = make_inst(op.id, "leveldrop");
-            cp.fus = {{FuType::Add, 1, ct_words(lo)}};
-            cp.reads = {valueOf[op.args[0]]};
-            cp.writes = {out};
-            cp.duration = 2ull * lo * vc;
-            cp.rfPorts = clamp_ports(2);
-            cp.rfWords = 2 * ct_words(lo);
-            prog.addInst(std::move(cp));
-            valueOf[op.id] = out;
+          case HomOpKind::LevelDrop:
+            out = prog.addValue(ValueKind::Intermediate, ct_words(lo), "out",
+                                op.id);
+            emit(op.id, "leveldrop", {{FuType::Add, 1, ct_vecs(lo)}},
+                 {valueOf[op.args[0]]}, out, 2, 2 * ct_words(lo));
             break;
-          }
           case HomOpKind::ModRaise: {
             // Raise both polynomials from l to lo (> l) towers:
             // INTT, change base, NTT everything back up.
-            const std::uint32_t out = prog.addValue(
-                ValueKind::Intermediate, ct_words(lo), "raised", op.id);
-            PolyInst mr = make_inst(op.id, "modraise");
-            const std::uint64_t ntt_vecs =
-                2ull * l + 2ull * lo; // INTT in + NTT out
-            const std::uint64_t macs =
-                2ull * l * (lo - l); // change-base MACs
-            const unsigned mru = par(cfg_.nttUnits, ntt_vecs);
-            if (cfg_.hasCrb) {
-                mr.fus = {{FuType::Ntt, mru, ntt_vecs * bflyPerVec},
-                          {FuType::Crb, 1, macs * n}};
-                mr.duration = ceilDiv(ntt_vecs, mru) * vc;
-                mr.rfPorts = clamp_ports(2);
-            } else {
-                mr.fus = {{FuType::Ntt, mru, ntt_vecs * bflyPerVec},
-                          {FuType::Multiply, sw_par, macs * n},
-                          {FuType::Add, sw_par, macs * n}};
-                mr.duration = std::max(ceilDiv(ntt_vecs, mru),
-                                       ceilDiv(macs, sw_par)) * vc;
-                mr.rfPorts = clamp_ports(3 * sw_par);
-            }
-            mr.reads = {valueOf[op.args[0]]};
-            mr.writes = {out};
-            mr.networkWords = ntt_vecs * n;
-            mr.rfWords = (2ull * l + 2ull * lo) * n;
-            stats_.nttVectors += ntt_vecs;
-            stats_.crbMacVectors += macs;
-            prog.addInst(std::move(mr));
-            valueOf[op.id] = out;
+            out = prog.addValue(ValueKind::Intermediate, ct_words(lo),
+                                "raised", op.id);
+            const opcost::ModRaise &m = c.raise;
+            const Work ntt{FuType::Ntt, par(cfg_.nttUnits, m.ntts), m.ntts};
+            const std::uint64_t rf_words = (2ull * l + 2ull * lo) * n;
+            if (cfg_.hasCrb)
+                emit(op.id, "modraise", {ntt, {FuType::Crb, 1, m.macs}},
+                     {valueOf[op.args[0]]}, out, 2, rf_words);
+            else
+                emit(op.id, "modraise",
+                     {ntt, {FuType::Multiply, sw_par, m.macs},
+                      {FuType::Add, sw_par, m.macs}},
+                     {valueOf[op.args[0]]}, out, 3 * sw_par, rf_words);
+            count(m.ntts, 0, 0, m.macs);
             break;
           }
         }

@@ -12,8 +12,9 @@
  *      level/scale must equal the evaluator's actual level/scale;
  *  (c) the hardware stack — lower the same program, simulate the
  *      schedule, and run ScheduleVerifier over the recorded trace,
- *      asserting op-conservation invariants (keyswitch counts) on
- *      the way through.
+ *      asserting op-conservation invariants on the way through: one
+ *      keyswitch per keyswitching op, and emitted NTT/CRB FU work
+ *      equal to the lowering's NTT/CRB-MAC vector counts.
  *
  * Programs come in two families. Functional-safe programs (no
  * ModRaise) run every leg. Structural programs place bootstrap-entry

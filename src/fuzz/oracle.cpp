@@ -458,15 +458,35 @@ runOracle(const FuzzEnv &env, const GenProgram &prog,
                         name + "/" + scheduleModeName(mode);
                     Lowering lowering(cfg, mode);
                     const Program vp = lowering.lower(hp);
-                    if (lowering.stats().keyswitches != want_ksw) {
+                    const LowerStats &ls = lowering.stats();
+                    if (ls.keyswitches != want_ksw) {
                         res.ok = false;
                         res.failure =
                             "keyswitch conservation failed on " +
                             where + ": lowered " +
-                            std::to_string(
-                                lowering.stats().keyswitches) +
+                            std::to_string(ls.keyswitches) +
                             ", program has " +
                             std::to_string(want_ksw);
+                        break;
+                    }
+                    // FU-work conservation: no NTT (or, where the CRB
+                    // takes every change-base MAC, CRB) work is emitted
+                    // uncharged or charged unemitted.
+                    std::uint64_t ntt = 0, crb = 0;
+                    for (const PolyInst &inst : vp.insts) {
+                        for (const FuUse &f : inst.fus) {
+                            ntt += f.type == FuType::Ntt ? f.laneOps : 0;
+                            crb += f.type == FuType::Crb ? f.laneOps : 0;
+                        }
+                    }
+                    if (ntt != ls.nttVectors * (hp.n() * hp.logN / 2) ||
+                        (cfg.hasCrb && cfg.hasChaining &&
+                         crb != ls.crbMacVectors * hp.n())) {
+                        res.ok = false;
+                        res.failure = "FU-work conservation failed on " +
+                                      where + ": NTT/CRB work " +
+                                      std::to_string(ntt) + "/" +
+                                      std::to_string(crb);
                         break;
                     }
                     SimStats stats;

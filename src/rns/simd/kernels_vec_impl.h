@@ -536,7 +536,8 @@ baseconvMacNarrow(u64 *y, const u64 *const *xs, const u64 *cs,
     using R = typename V::R;
     // x mod q for x < 2^32: x - floor(x*M/2^64)*q with M = floor(2^64/q)
     // split as mHi:mLo (NarrowShoup::mulLazy's quotient with w = 1, so
-    // x*w is x itself), in [0, 2q), plus one conditional subtract.
+    // x*w is x itself), in [0, q] (q only for nonzero multiples of q),
+    // plus one conditional subtract.
     const u64 m = static_cast<u64>((u128{1} << 64) / q);
     const R mLo = V::set1(m), mHi = V::set1(m >> 32), qv = V::set1(q);
     const auto mod_q = [&](R x) {

@@ -93,9 +93,10 @@ TEST(Lowering, Table1OpCountsAtL60)
     lower.lower(b.take());
     const LowerStats &s = lower.stats();
     EXPECT_EQ(s.crbMacVectors, 3u * 60 * 60);
-    // 6L keyswitch NTTs plus the rescale's domain round trips.
-    EXPECT_GE(s.nttVectors, 6u * 60);
-    EXPECT_LE(s.nttVectors, 6u * 60 + 4u * 60 + 8);
+    // 6L keyswitch NTTs plus the rescale's: 2 dropped towers to
+    // coefficient form and the correction into the 58 kept ones, per
+    // polynomial.
+    EXPECT_EQ(s.nttVectors, 6u * 60 + 2u * 2 + 2u * 58);
 }
 
 TEST(Lowering, KshFootprintHalvedByKshGen)

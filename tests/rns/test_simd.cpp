@@ -299,6 +299,42 @@ TEST_P(SimdBackendTest, BaseconvMacMatchesScalar)
     });
 }
 
+TEST_P(SimdBackendTest, BaseconvMacAtNarrowFlushBoundary)
+{
+    // The narrow MAC (q < 2^30, sources < 2^32) sums exact 32-bit
+    // products and Barrett-flushes every chunk = floor(2^32 / q) terms,
+    // a period derived for reduced sources below q. Its lazy x mod q is
+    // at most q (q only for nonzero multiples of q, where the quotient
+    // estimate falls one short) before the conditional subtract. Run
+    // every term at its largest: c = q - 1 against sources with
+    // residue q - 1, nonzero multiples of q and 2^32 - 1, for term
+    // counts around one and two flush periods.
+    for (unsigned bits : {30u, 29u, 26u}) {
+        const u64 q = primeOfWidth(bits);
+        const u64 top = (u64{1} << 32) - 1;
+        const u64 worst[] = {top - (top % q) - 1, top - (top % q), top,
+                             q - 1, q};
+        const std::size_t chunk = static_cast<std::size_t>(top / q);
+        const std::size_t n = 35; // vector body and scalar tail
+        for (std::size_t ls :
+             {chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1}) {
+            std::vector<std::vector<u64>> x(ls, std::vector<u64>(n));
+            std::vector<const u64 *> xs(ls);
+            for (std::size_t i = 0; i < ls; ++i) {
+                for (std::size_t k = 0; k < n; ++k)
+                    x[i][k] = worst[(i + k) % std::size(worst)];
+                xs[i] = x[i].data();
+            }
+            const std::vector<u64> cs(ls, q - 1);
+            std::vector<u64> y(n);
+            vec().baseconvMacVec(y.data(), xs.data(), cs.data(), ls, n, q,
+                                 u64{1} << 32);
+            ASSERT_EQ(y, baseconvMacOracle(xs, cs, n, q))
+                << "bits=" << bits << " ls=" << ls;
+        }
+    }
+}
+
 TEST_P(SimdBackendTest, GatherMatchesScalar)
 {
     FastRng rng(97);

@@ -182,18 +182,53 @@ TEST(CpuModel, KernelMeasurementSane)
     EXPECT_GT(r.macPerSec, 1e7);
 }
 
+TEST(CpuModel, PinnedOnEveryBenchmark)
+{
+    // Table 3's CPU column and Fig 3's multiply counts at fixed kernel
+    // rates, captured before the model moved onto util/opcost.h. A
+    // change to any cost term the model reads moves these.
+    struct Pin
+    {
+        const char *name;
+        double seconds;
+        double multiplies;
+    };
+    const Pin pins[] = {
+        {"resnet20", 307.47914524446247, 3270786351104},
+        {"logreg", 288.15948158873886, 3064586829824},
+        {"lstm", 404.78186377705555, 4355037331456},
+        {"boot-packed", 9.688814526984153, 102961053696},
+        {"boot-unpacked", 0.17662406208112874, 1921318912},
+        {"lola-cifar", 5.0529968874779909, 58871349248},
+        {"lola-mnist", 0.041356077601410954, 470122496},
+        {"lola-mnist-ew", 0.057060876190476215, 618430464},
+    };
+    ASSERT_EQ(benchmarkNames().size(), std::size(pins));
+    const CpuModel cpu(CpuKernelRates{4e8, 9e8, 7e8});
+    for (const Pin &p : pins) {
+        const HomProgram hp = benchmarkByName(p.name);
+        EXPECT_DOUBLE_EQ(cpu.run(hp), p.seconds) << p.name;
+        EXPECT_DOUBLE_EQ(CpuModel::scalarMultiplies(hp), p.multiplies)
+            << p.name;
+    }
+}
+
 TEST(KeyswitchCost, BoostedBeatsStandardAtHighL)
 {
     // Sec 8: boosted keyswitching wins for L > 14.
     const std::size_t n = 1 << 16;
-    auto mults = [&](const KswOpCount &k) {
-        return k.ntts * 8.0 * n + (k.macVecs + k.mulVecs) * n;
+    // Digits of alpha towers: alpha = l is boosted 1-digit, alpha = 1
+    // the standard algorithm.
+    auto mults = [&](unsigned l, unsigned alpha) {
+        const opcost::KeySwitch k = opcost::keySwitch(l, alpha, n);
+        return k.chipNtts() * 8.0 * n +
+               static_cast<double>(k.chipCrbMacs() + k.chipMuls()) * n;
     };
-    const double b30 = mults(keyswitchCost(30, 1, n));
-    const double s30 = mults(keyswitchCost(30, 30, n));
+    const double b30 = mults(30, 30);
+    const double s30 = mults(30, 1);
     EXPECT_LT(b30, s30);
-    const double b6 = mults(keyswitchCost(6, 1, n));
-    const double s6 = mults(keyswitchCost(6, 6, n));
+    const double b6 = mults(6, 6);
+    const double s6 = mults(6, 1);
     EXPECT_LT(s6, b6 * 2); // comparable at low L
 }
 
