@@ -614,8 +614,9 @@ void
 BM_RescaleTower(benchmark::State &state)
 {
     // Whole-poly rescale in the NTT domain (the evaluator's hot path
-    // after every multiply): the fused per-tower iNTT/correction/NTT
-    // pipeline.
+    // after every multiply): one iNTT of the dropped tower, then per
+    // kept tower the centering pass, a forward NTT and the in-place
+    // correction.
     const std::size_t n = 1 << 14;
     const unsigned towers = 8;
     auto primes = generateNttPrimes(28, n, towers);

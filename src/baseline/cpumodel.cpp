@@ -88,10 +88,11 @@ namespace {
 
 /**
  * One op's work under the CPU model, in residue-vector passes
- * (util/opcost.h). It follows the host where the chip differs: a
- * rescale round-trips every kept tower. It follows the chip where
- * CPU libraries do: single-prime digits lift without MACs, and the
- * q̂⁻¹ scaling is folded into the conversion.
+ * (util/opcost.h). It prices a rescale as CPU libraries run it,
+ * round-tripping every kept tower through the coefficient domain (2lo
+ * INTTs on top of the chip's NTTs). It follows the chip where CPU
+ * libraries do: single-prime digits lift without MACs, and the q̂⁻¹
+ * scaling is folded into the conversion.
  */
 struct CpuOpCost
 {
@@ -112,9 +113,11 @@ cpuOpCost(const HomOp &op, std::size_t n)
         op.kind == HomOpKind::LevelDrop && op.outLevel < op.level
             ? opcost::rescale(op.level, op.outLevel)
             : c.rescale;
+    const u64 rescale_round_trip = r.keptNtts;
     // Adds are ~4x cheaper than muls; either add kind is charged one
     // per ciphertext tower.
-    return {static_cast<double>(k.chipNtts() + r.host().ntts + c.raise.ntts),
+    return {static_cast<double>(k.chipNtts() + r.chipNtts() +
+                                rescale_round_trip + c.raise.ntts),
             static_cast<double>(k.chipCrbMacs() + c.raise.macs),
             static_cast<double>(k.chipMuls() + c.tensor.muls + c.plainMuls),
             c.adds > 0 ? 0.25 * op.level : 0.0,

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <set>
 
+#include "rns/simd/kernels.h"
+#include "util/instrument.h"
 #include "util/threadpool.h"
 
 namespace cl {
@@ -253,9 +255,25 @@ Bootstrapper::Bootstrapper(const CkksContext &ctx,
               ctx.params().secretHamming, " for K=", params_.k);
 
     // --- EvalMod polynomial and the level budget. ---
-    chebCoeffs_ = evalModCosine(params_.k, kShape);
-    chebLevels_ = chebyshevLevels(chebCoeffs_, kShape.babySteps);
-    const unsigned poly_depth = chebyshevDepth(chebCoeffs_, kShape.babySteps);
+    const std::vector<double> cheb = evalModCosine(params_.k, kShape);
+    chebLevels_ = chebyshevLevels(cheb, kShape.babySteps);
+    const unsigned poly_depth = chebyshevDepth(cheb, kShape.babySteps);
+    buildPsTree(cheb);
+    // The deepest basis level joins the leaf wave when no leaf reads
+    // it (at the default shape, T_32 only feeds the root product).
+    if (!chebLevels_.empty()) {
+        bool leaf_reads_last = false;
+        for (std::size_t i : psWaves_[0]) {
+            for (const auto &[j, b] : psNodes_[i].terms) {
+                for (unsigned k : chebLevels_.back())
+                    leaf_reads_last |= j == k;
+            }
+        }
+        if (!leaf_reads_last) {
+            leafWaveBasis_ = std::move(chebLevels_.back());
+            chebLevels_.pop_back();
+        }
+    }
     depthUsed_ = kShape.ctsStages + poly_depth + kShape.doubleAngles +
                  kShape.stcStages;
     if (depthUsed_ >= ctx.l()) {
@@ -406,26 +424,66 @@ Bootstrapper::stageTransform(const Ciphertext &ct, int which,
     // Lazy accumulation: data-basis MACs for the exact parts (c0
     // rotations, the unrotated term) and ext-basis MACs for the
     // keyswitch products; one mod-down per component per stage instead
-    // of one per rotation.
+    // of one per rotation. Tower-major: one task per tower of
+    // Q_level ∪ P runs every diagonal's MACs for that tower, in
+    // diagonal order, while its accumulators stay in cache.
+    const std::size_t ext = first < count ? digits.extIdx.size() : 0;
+    const std::size_t n = ctx_.n();
+    const u64 macs = (first == 1 ? 2 * level : 0) +
+                     (count - first) * (level + 2 * ext);
+    countMults(macs);
+    countAdds(macs);
+    countMemPass(macs, macs * 24 * n);
+    ops.polyMults += macs;
+    ops.polyAdds += macs;
     Ciphertext acc;
-    acc.c0 = RnsPoly(ctx_.chain(), ctx_.dataIdx(level), true);
-    acc.c1 = RnsPoly(ctx_.chain(), ctx_.dataIdx(level), true);
-    if (first == 1) {
-        acc.c0.addMulAssign(dc[0], ct.c0);
-        acc.c1.addMulAssign(dc[0], ct.c1);
-        ops.polyMults += 2 * level;
-        ops.polyAdds += 2 * level;
+    acc.c0 = RnsPoly(RnsPoly::Uninit{}, ctx_.chain(), ctx_.dataIdx(level),
+                     true);
+    acc.c1 = RnsPoly(RnsPoly::Uninit{}, ctx_.chain(), ctx_.dataIdx(level),
+                     true);
+    RnsPoly ext0, ext1;
+    if (ext > 0) {
+        ext0 = RnsPoly(RnsPoly::Uninit{}, ctx_.chain(), digits.extIdx, true);
+        ext1 = RnsPoly(RnsPoly::Uninit{}, ctx_.chain(), digits.extIdx, true);
     }
-    if (first < count) {
-        RnsPoly ext0(ctx_.chain(), digits.extIdx, true);
-        RnsPoly ext1(ctx_.chain(), digits.extIdx, true);
-        for (std::size_t i = first; i < count; ++i) {
-            acc.c0.addMulAssign(dc[i], c0rot[i]);
-            ext0.addMulAssign(dc[i], k0[i]);
-            ext1.addMulAssign(dc[i], k1[i]);
-            ops.polyMults += level + 2 * digits.extIdx.size();
-            ops.polyAdds += level + 2 * digits.extIdx.size();
+    const KernelTable &K = kernels();
+    parallelFor(0, std::max<std::size_t>(level, ext), [&](std::size_t t) {
+        const u64 q = ctx_.chain().modulus(t < level ? t : digits.extIdx[t]);
+        // sum += dc[i] * x on tower t; the diagonal's tower t is the
+        // same chain index in either basis (the data towers lead).
+        auto mac = [&](u64 *sum, std::size_t i, const RnsPoly &x) {
+            K.mulAddModVec(sum, dc[i].residue(t).data(),
+                           x.residue(t).data(), n, q);
+        };
+        if (t < level) {
+            u64 *a0 = acc.c0.residue(t).data();
+            u64 *a1 = acc.c1.residue(t).data();
+            std::fill_n(a0, n, 0);
+            std::fill_n(a1, n, 0);
+            if (first == 1) {
+                mac(a0, 0, ct.c0);
+                mac(a1, 0, ct.c1);
+            }
+            for (std::size_t i = first; i < count; ++i)
+                mac(a0, i, c0rot[i]);
         }
+        if (t < ext) {
+            u64 *e0 = ext0.residue(t).data();
+            u64 *e1 = ext1.residue(t).data();
+            std::fill_n(e0, n, 0);
+            std::fill_n(e1, n, 0);
+            for (std::size_t i = first; i < count; ++i) {
+                mac(e0, i, k0[i]);
+                mac(e1, i, k1[i]);
+            }
+        }
+    });
+    // The rotations are consumed: release them before the mod-downs.
+    digits = {};
+    k0 = {};
+    k1 = {};
+    c0rot = {};
+    if (ext > 0) {
         acc.c0 += eval_.modDown(ext0);
         acc.c1 += eval_.modDown(ext1);
         ops.polyAdds += 2 * level;
@@ -458,156 +516,236 @@ Bootstrapper::applySlotToCoeff(const Ciphertext &ct,
     return linearTransform(ct, 1);
 }
 
+std::pair<std::size_t, unsigned>
+Bootstrapper::buildPsTree(const std::vector<double> &coeffs)
+{
+    PsNode node;
+    unsigned height = 0;
+    if (coeffs.size() - 1 < kShape.babySteps) {
+        for (std::size_t j = 1; j < coeffs.size(); ++j) {
+            if (std::abs(coeffs[j]) > kChebZero)
+                node.terms.emplace_back(static_cast<unsigned>(j),
+                                        coeffs[j]);
+        }
+        node.b0 = coeffs[0];
+    } else {
+        node.split = chebSplit(coeffs.size() - 1, kShape.babySteps);
+        auto [q, r] = chebDivide(coeffs, node.split);
+        unsigned hq = 0, hr = 0;
+        std::tie(node.quot, hq) = buildPsTree(q);
+        std::tie(node.rem, hr) = buildPsTree(r);
+        height = std::max(hq, hr) + 1;
+    }
+    if (psWaves_.size() <= height)
+        psWaves_.resize(height + 1);
+    psWaves_[height].push_back(psNodes_.size());
+    psNodes_.push_back(std::move(node));
+    return {psNodes_.size() - 1, height};
+}
+
+const RnsPoly &
+Bootstrapper::constantPlain(double value, double scale, unsigned level) const
+{
+    std::lock_guard<std::mutex> lock(constMutex_);
+    const auto key = std::make_tuple(value, scale, level);
+    auto it = constCache_.find(key);
+    if (it == constCache_.end()) {
+        RnsPoly pt = encoder_.encode(
+            std::vector<Complex>(ctx_.slots(), Complex(value, 0)), scale,
+            level);
+        pt.toNtt();
+        ctx_.ops().ntts += pt.towers();
+        it = constCache_.emplace(key, std::move(pt)).first;
+    }
+    return it->second;
+}
+
+Ciphertext
+Bootstrapper::doubleAngle(const Ciphertext &y) const
+{
+    Ciphertext sq = eval_.square(y, relin_);
+    eval_.rescale(sq);
+    sq = eval_.add(sq, sq);
+    return eval_.subPlain(sq, constantPlain(1.0, sq.scale, sq.level()));
+}
+
+Ciphertext
+Bootstrapper::chebProduct(const std::vector<Ciphertext> &t, unsigned j) const
+{
+    const unsigned a = (j + 1) / 2;
+    const unsigned b = j / 2;
+    if (a == b)
+        return doubleAngle(t[a]);
+    // a - b == 1: 2 T_a T_b - T_1, T_1 aligned to the product.
+    Ciphertext ta = t[a];
+    Ciphertext tb = t[b];
+    const unsigned lvl = std::min(ta.level(), tb.level());
+    eval_.levelDrop(ta, lvl);
+    eval_.levelDrop(tb, lvl);
+    Ciphertext prod = eval_.multiply(ta, tb, relin_);
+    eval_.rescale(prod);
+    prod = eval_.add(prod, prod);
+    Ciphertext t1 = t[1];
+    alignPair(prod, t1);
+    return eval_.sub(prod, t1);
+}
+
+Ciphertext
+Bootstrapper::evalLeaf(const PsNode &leaf,
+                       const std::vector<Ciphertext> &t) const
+{
+    auto get_t = [&](unsigned j) -> const Ciphertext & {
+        CL_ASSERT(j < t.size() && t[j].level() > 0, "Chebyshev index ", j,
+                  " outside the basis plan");
+        return t[j];
+    };
+    const Ciphertext &x = t[1];
+    if (leaf.terms.empty()) {
+        // Constant block: a zero ciphertext at x's level and scale,
+        // plus b_0.
+        Ciphertext z;
+        z.c0 = RnsPoly(ctx_.chain(), ctx_.dataIdx(x.level()), true);
+        z.c1 = RnsPoly(ctx_.chain(), ctx_.dataIdx(x.level()), true);
+        z.scale = x.scale;
+        return eval_.addPlain(z,
+                              constantPlain(leaf.b0, z.scale, z.level()));
+    }
+
+    // Every term is raised to one target scale by an integer scalar
+    // (no rescale, no level), summed, and rescaled once.
+    unsigned lvl = x.level();
+    for (const auto &term : leaf.terms)
+        lvl = std::min(lvl, get_t(term.first).level());
+    const double q_last =
+        static_cast<double>(ctx_.chain().modulus(lvl - 1));
+    const double target = get_t(leaf.terms[0].first).scale * q_last;
+    std::vector<long long> weights;
+    for (const auto &[j, b] : leaf.terms) {
+        const double w = b * target / t[j].scale;
+        CL_ASSERT(std::abs(w) < 9e18, "scalar overflow");
+        weights.push_back(std::llround(w));
+    }
+
+    // Tower-major: one task per tower multiplies each term by its
+    // weight and adds it into the sum, in term order, on both
+    // polynomials. The terms are dropped to lvl by reading only their
+    // first lvl towers.
+    const std::size_t n = ctx_.n();
+    const u64 terms = leaf.terms.size();
+    countMults(2 * lvl * terms);
+    countAdds(2 * lvl * (terms - 1));
+    countMemPass(2 * lvl * (2 * terms - 1),
+                 u64{2} * lvl * (32 * terms - 16) * n);
+    ctx_.ops().polyAdds += 2 * lvl * (terms - 1);
+    Ciphertext acc;
+    acc.c0 = RnsPoly(RnsPoly::Uninit{}, ctx_.chain(), ctx_.dataIdx(lvl), true);
+    acc.c1 = RnsPoly(RnsPoly::Uninit{}, ctx_.chain(), ctx_.dataIdx(lvl), true);
+    acc.scale = target;
+    const KernelTable &K = kernels();
+    parallelFor(0, lvl, [&](std::size_t tw) {
+        static thread_local std::vector<u64> term;
+        term.resize(n);
+        const u64 q = ctx_.chain().modulus(tw);
+        for (int c = 0; c < 2; ++c) {
+            u64 *sum = (c == 0 ? acc.c0 : acc.c1).residue(tw).data();
+            for (std::size_t k = 0; k < weights.size(); ++k) {
+                const Ciphertext &tj = t[leaf.terms[k].first];
+                const u64 *src = (c == 0 ? tj.c0 : tj.c1).residue(tw).data();
+                const ShoupMul w(reduceSigned(weights[k], q), q);
+                K.mulModShoupVec(k == 0 ? sum : term.data(), src, n, w.w,
+                                 w.wPrec, q);
+                if (k > 0)
+                    K.addModVec(sum, term.data(), n, q);
+            }
+        }
+    });
+    eval_.rescale(acc); // target / q_last == the first term's scale
+    if (std::abs(leaf.b0) > kChebZero)
+        acc = eval_.addPlain(
+            acc, constantPlain(leaf.b0, acc.scale, acc.level()));
+    return acc;
+}
+
 std::array<Ciphertext, 2>
 Bootstrapper::evalMod(const Ciphertext &u, const Ciphertext &v) const
 {
     // Chebyshev ciphertexts T_j(x) of both halves, one preallocated
-    // slot per index, built with the depth-logarithmic recurrence
-    // T_{a+b} = 2 T_a T_b - T_{|a-b|}. Each dependence level is one
-    // parallel region over (half, index): a task reads only slots of
-    // earlier levels and writes only its own.
+    // slot per index. Every wave is one parallel region over (index,
+    // half); a task reads only results of earlier waves and writes
+    // only its own slot, so the bytes do not depend on the schedule.
     unsigned top = 1;
     for (const auto &lvl : chebLevels_)
         top = std::max(top, lvl.back());
+    for (unsigned j : leafWaveBasis_)
+        top = std::max(top, j);
     std::array<std::vector<Ciphertext>, 2> basis;
     basis[0].resize(top + 1);
     basis[1].resize(top + 1);
     basis[0][1] = u;
     basis[1][1] = v;
-
-    // 2 y^2 - 1: T_{2a} from T_a, and each double-angle step.
-    auto double_angle = [&](const Ciphertext &y) {
-        Ciphertext sq = eval_.square(y, relin_);
-        eval_.rescale(sq);
-        sq = eval_.add(sq, sq);
-        std::vector<Complex> one(ctx_.slots(), Complex(1, 0));
-        return eval_.subPlain(sq,
-                              encoder_.encode(one, sq.scale, sq.level()));
-    };
-    auto product = [&](const std::vector<Ciphertext> &t, unsigned j) {
-        const unsigned a = (j + 1) / 2;
-        const unsigned b = j / 2;
-        if (a == b)
-            return double_angle(t[a]);
-        // a - b == 1: 2 T_a T_b - T_1, T_1 aligned to the product.
-        Ciphertext ta = t[a];
-        Ciphertext tb = t[b];
-        const unsigned lvl = std::min(ta.level(), tb.level());
-        eval_.levelDrop(ta, lvl);
-        eval_.levelDrop(tb, lvl);
-        Ciphertext prod = eval_.multiply(ta, tb, relin_);
-        eval_.rescale(prod);
-        prod = eval_.add(prod, prod);
-        Ciphertext t1 = t[1];
-        alignPair(prod, t1);
-        return eval_.sub(prod, t1);
-    };
     for (const auto &lvl : chebLevels_) {
         parallelFor(0, 2 * lvl.size(), [&](std::size_t i) {
-            std::vector<Ciphertext> &t = basis[i % 2];
-            const unsigned j = lvl[i / 2];
-            t[j] = product(t, j);
+            basis[i % 2][lvl[i / 2]] = chebProduct(basis[i % 2], lvl[i / 2]);
         });
     }
 
-    const unsigned m = kShape.babySteps;
-
-    // Multiply a ciphertext's slots by a real factor while declaring
-    // an explicit output scale — one integer scalar multiply, no
-    // rescale, no level consumed. Used to give every term of a
-    // linear combination an identical (level, scale) pair exactly.
-    auto mul_scalar_raw = [&](const Ciphertext &ct, double factor,
-                              double target_scale) {
-        Ciphertext r = ct;
-        const double w_real = factor * target_scale / ct.scale;
-        const auto w = static_cast<long long>(std::llround(w_real));
-        CL_ASSERT(std::abs(w_real) < 9e18, "scalar overflow");
-        for (std::size_t t = 0; t < r.c0.towers(); ++t) {
-            const u64 q = r.c0.modulus(t);
-            const u64 wq = reduceSigned(w, q);
-            r.c0.mulScalarTower(t, wq);
-            r.c1.mulScalarTower(t, wq);
+    // The leaves, with the basis level no leaf reads: the (costlier)
+    // products first, so they are claimed first.
+    std::array<std::vector<Ciphertext>, 2> node;
+    node[0].resize(psNodes_.size());
+    node[1].resize(psNodes_.size());
+    const std::vector<std::size_t> &leaves = psWaves_[0];
+    const std::size_t products = leafWaveBasis_.size();
+    parallelFor(0, 2 * (products + leaves.size()), [&](std::size_t i) {
+        std::vector<Ciphertext> &t = basis[i % 2];
+        if (i / 2 < products) {
+            const unsigned j = leafWaveBasis_[i / 2];
+            t[j] = chebProduct(t, j);
+        } else {
+            const std::size_t k = leaves[i / 2 - products];
+            node[i % 2][k] = evalLeaf(psNodes_[k], t);
         }
-        r.scale = target_scale;
-        return r;
-    };
-
-    // Paterson–Stockmeyer recursion over the finished basis @p t.
-    std::function<Ciphertext(const std::vector<double> &,
-                             const std::vector<Ciphertext> &)>
-        eval_rec = [&](const std::vector<double> &b,
-                       const std::vector<Ciphertext> &t) -> Ciphertext {
-        auto get_t = [&](unsigned j) -> const Ciphertext & {
-            CL_ASSERT(j < t.size() && t[j].level() > 0,
-                      "Chebyshev index ", j, " outside the basis plan");
-            return t[j];
-        };
-        const Ciphertext &x = t[1];
-        const std::size_t deg = b.size() - 1;
-        if (deg < m) {
-            // Direct combination sum_j b_j T_j: every term is raised
-            // to a shared target scale with one raw scalar multiply,
-            // summed, and rescaled once.
-            std::vector<unsigned> idx;
-            for (std::size_t j = 1; j <= deg; ++j) {
-                if (std::abs(b[j]) > kChebZero)
-                    idx.push_back(static_cast<unsigned>(j));
-            }
-            if (idx.empty()) {
-                // Constant block: zero out a copy of x, add b[0].
-                Ciphertext z = mul_scalar_raw(x, 0.0, x.scale);
-                std::vector<Complex> c0(ctx_.slots(),
-                                        Complex(b[0], 0));
-                return eval_.addPlain(
-                    z, encoder_.encode(c0, z.scale, z.level()));
-            }
-            unsigned lvl = x.level();
-            for (unsigned j : idx)
-                lvl = std::min(lvl, get_t(j).level());
-            const double q_last = static_cast<double>(
-                ctx_.chain().modulus(lvl - 1));
-            const double ref = get_t(idx[0]).scale;
-            const double target = ref * q_last;
-
-            Ciphertext acc;
-            bool first = true;
-            for (unsigned j : idx) {
-                Ciphertext tj = get_t(j);
-                eval_.levelDrop(tj, lvl);
-                tj = mul_scalar_raw(tj, b[j], target);
-                acc = first ? std::move(tj) : eval_.add(acc, tj);
-                first = false;
-            }
-            eval_.rescale(acc); // target / q_last == ref
-            if (std::abs(b[0]) > kChebZero) {
-                std::vector<Complex> c0(ctx_.slots(), Complex(b[0], 0));
-                acc = eval_.addPlain(
-                    acc, encoder_.encode(c0, acc.scale, acc.level()));
-            }
-            return acc;
-        }
-        const unsigned g = chebSplit(deg, m);
-        auto [q, r] = chebDivide(b, g);
-        Ciphertext cq = eval_rec(q, t);
-        Ciphertext cr = eval_rec(r, t);
-        Ciphertext tg = get_t(g);
-        const unsigned lvl = std::min(cq.level(), tg.level());
-        eval_.levelDrop(cq, lvl);
-        eval_.levelDrop(tg, lvl);
-        Ciphertext prod = eval_.multiply(cq, tg, relin_);
-        eval_.rescale(prod);
-        alignPair(prod, cr);
-        return eval_.add(prod, cr);
-    };
-
-    // Per half: the cosine, then y <- 2y^2 - 1 per double angle.
-    std::array<Ciphertext, 2> out;
-    parallelFor(0, 2, [&](std::size_t h) {
-        Ciphertext y = eval_rec(chebCoeffs_, basis[h]);
-        for (unsigned r = 0; r < kShape.doubleAngles; ++r)
-            y = double_angle(y);
-        out[h] = std::move(y);
     });
+    // Only the split points are read from here on.
+    for (auto &t : basis) {
+        for (unsigned j = 0; j < t.size(); ++j) {
+            bool split = false;
+            for (const PsNode &nd : psNodes_)
+                split |= nd.split == j;
+            if (!split)
+                t[j] = Ciphertext{};
+        }
+    }
+
+    // Internal nodes by height: q * T_g + r, freeing both children.
+    for (std::size_t h = 1; h < psWaves_.size(); ++h) {
+        const std::vector<std::size_t> &wave = psWaves_[h];
+        parallelFor(0, 2 * wave.size(), [&](std::size_t i) {
+            std::vector<Ciphertext> &res = node[i % 2];
+            const PsNode &nd = psNodes_[wave[i / 2]];
+            Ciphertext cq = std::move(res[nd.quot]);
+            Ciphertext cr = std::move(res[nd.rem]);
+            CL_ASSERT(basis[i % 2][nd.split].level() > 0, "Chebyshev index ",
+                      nd.split, " outside the basis plan");
+            Ciphertext tg = basis[i % 2][nd.split];
+            const unsigned lvl = std::min(cq.level(), tg.level());
+            eval_.levelDrop(cq, lvl);
+            eval_.levelDrop(tg, lvl);
+            Ciphertext prod = eval_.multiply(cq, tg, relin_);
+            eval_.rescale(prod);
+            alignPair(prod, cr);
+            res[wave[i / 2]] = eval_.add(prod, cr);
+        });
+    }
+    basis = {};
+
+    // y <- 2y^2 - 1 per double angle, both halves at once.
+    std::array<Ciphertext, 2> out = {std::move(node[0].back()),
+                                     std::move(node[1].back())};
+    for (unsigned r = 0; r < kShape.doubleAngles; ++r) {
+        parallelFor(0, 2,
+                    [&](std::size_t h) { out[h] = doubleAngle(out[h]); });
+    }
     return out;
 }
 

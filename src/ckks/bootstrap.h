@@ -180,10 +180,55 @@ class Bootstrapper
 
     /** EvalMod on both halves (slots in [-1, 1]): the Chebyshev
      *  cosine, then the double angles; returns sin(2 pi K x) for
-     *  x = u and x = v. The halves' power bases and recursions run
-     *  concurrently. */
+     *  x = u and x = v. One flat schedule of waves covers both halves
+     *  (DESIGN.md §5c): the power-basis levels, then the leaves (with
+     *  the last basis level, which no leaf reads), then the
+     *  Paterson-Stockmeyer tree by node height, then each double
+     *  angle. The ops of a wave run concurrently. */
     std::array<Ciphertext, 2> evalMod(const Ciphertext &u,
                                       const Ciphertext &v) const;
+
+    /**
+     * One node of the Paterson-Stockmeyer tree of the EvalMod
+     * polynomial, built once at construction. An internal node
+     * evaluates q * T_split + r from its children; a leaf is the
+     * direct combination b_0 + sum b_j T_j of a block of degree below
+     * the baby-step count.
+     */
+    struct PsNode
+    {
+        unsigned split = 0;            ///< T index; 0 for a leaf.
+        std::size_t quot = 0, rem = 0; ///< Children of an internal node.
+        /** Leaf terms (j, b_j), j >= 1 ascending, |b_j| above the
+         *  Chebyshev zero threshold. */
+        std::vector<std::pair<unsigned, double>> terms;
+        double b0 = 0; ///< Leaf constant coefficient.
+    };
+
+    /** Append the subtree of @p coeffs to psNodes_, children first,
+     *  and return its root's index and height. */
+    std::pair<std::size_t, unsigned>
+    buildPsTree(const std::vector<double> &coeffs);
+
+    /** T_j = 2 T_a T_b - T_(a-b), a = ceil(j/2), b = floor(j/2), from
+     *  the finished lower entries of @p t. */
+    Ciphertext chebProduct(const std::vector<Ciphertext> &t,
+                           unsigned j) const;
+
+    /** A leaf of the tree over the power basis @p t: every term's
+     *  scalar multiple and the running sum in one tower-major pass,
+     *  one rescale, then b_0. */
+    Ciphertext evalLeaf(const PsNode &leaf,
+                        const std::vector<Ciphertext> &t) const;
+
+    /** 2 y^2 - 1. */
+    Ciphertext doubleAngle(const Ciphertext &y) const;
+
+    /** The constant @p value in every slot, encoded at (@p scale,
+     *  @p level) in NTT form; built once and cached, like the
+     *  diagonals. */
+    const RnsPoly &constantPlain(double value, double scale,
+                                 unsigned level) const;
 
     /** Bring two ciphertexts to a common (level, scale) pair,
      *  spending a level of whichever operand can afford it. */
@@ -199,10 +244,16 @@ class Bootstrapper
     BootstrapParams params_;
 
     std::array<std::vector<DftStage>, 2> transforms_;
-    std::vector<double> chebCoeffs_;
     // Chebyshev indices the polynomial evaluation reads, closed under
-    // the product recurrence and grouped by dependence depth.
+    // the product recurrence and grouped by dependence depth. When no
+    // leaf reads the deepest group, it moves to leafWaveBasis_ and is
+    // computed alongside the leaves.
     std::vector<std::vector<unsigned>> chebLevels_;
+    std::vector<unsigned> leafWaveBasis_;
+    // The Paterson-Stockmeyer tree, children before parents (the root
+    // last), and its node indices grouped by height (leaves first).
+    std::vector<PsNode> psNodes_;
+    std::vector<std::vector<std::size_t>> psWaves_;
     RnsPoly monomialI_; // X^(N/2) over the full chain, NTT form
     SwitchKey relin_;
     GaloisKeys galois_;
@@ -215,6 +266,11 @@ class Bootstrapper
     mutable std::mutex diagMutex_;
     mutable std::map<std::tuple<int, std::size_t, unsigned>, DiagCache>
         diagCache_;
+    // EvalMod's constant plaintexts, keyed by (value, scale, level);
+    // guarded and stable the same way.
+    mutable std::mutex constMutex_;
+    mutable std::map<std::tuple<double, double, unsigned>, RnsPoly>
+        constCache_;
 };
 
 } // namespace cl

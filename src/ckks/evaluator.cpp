@@ -401,8 +401,13 @@ Evaluator::modDown(const RnsPoly &acc) const
         ctx_.converter(special_idx, ctx_.dataIdx(l));
     RnsPoly special = acc.subset(special_idx);
     special.toCoeff();
-    std::vector<std::vector<u64>> conv_out;
-    down.convert(special.residueViews(), conv_out);
+    // The conversion writes straight into the output towers; the
+    // epilogue below transforms and corrects each one in place.
+    RnsPoly out(RnsPoly::Uninit{}, ctx_.chain(), ctx_.dataIdx(l), true);
+    std::vector<u64 *> rows(l);
+    for (unsigned t = 0; t < l; ++t)
+        rows[t] = out.residue(t).data();
+    down.convert(special.residueViews(), rows);
 
     // The fused subtract-multiply below is a direct kernel call, not an
     // RnsPoly operator, so instrument it here: one mult + one add pass
@@ -410,7 +415,6 @@ Evaluator::modDown(const RnsPoly &acc) const
     countMults(l);
     countAdds(l);
     countMemPass(l, u64{l} * 24 * ctx_.n());
-    RnsPoly out(RnsPoly::Uninit{}, ctx_.chain(), ctx_.dataIdx(l), true);
     parallelFor(0, l, [&](std::size_t t) {
         const u64 q = ctx_.chain().modulus(t);
         // P^{-1} for the special primes this hint uses.
@@ -421,10 +425,10 @@ Evaluator::modDown(const RnsPoly &acc) const
         // Single-pass epilogue (DESIGN.md §5e): leave the forward NTT
         // in its lazy [0, 4q) window and fold the correction into the
         // subtract-multiply sweep.
-        ctx_.chain().ntt(t).forwardLazy(conv_out[t].data());
-        kernels().nttCorrectSubMulShoupVec(
-            out.residue(t).data(), acc.residue(t).data(),
-            conv_out[t].data(), ctx_.n(), p_inv.w, p_inv.wPrec, q);
+        ctx_.chain().ntt(t).forwardLazy(rows[t]);
+        kernels().nttCorrectSubMulShoupVec(rows[t], acc.residue(t).data(),
+                                           rows[t], ctx_.n(), p_inv.w,
+                                           p_inv.wPrec, q);
     });
     return out;
 }
@@ -494,9 +498,9 @@ Evaluator::square(const Ciphertext &a, const SwitchKey &relin) const
 void
 Evaluator::rescale(Ciphertext &ct) const
 {
-    // Charge against the PRE-drop level l: each polynomial takes all l
-    // towers out of NTT form (Rescale::keptIntts), corrects the l-1
-    // kept towers and transforms them back.
+    // Charge against the PRE-drop level l: each polynomial takes the
+    // dropped tower out of NTT form and transforms its correction into
+    // each of the l-1 kept towers.
     const unsigned l = ct.level();
     const u64 q_last = ct.c0.modulus(l - 1);
     ct.c0.rescaleLastTower();
@@ -612,14 +616,15 @@ Evaluator::modRaise(const Ciphertext &ct, unsigned target_level) const
     auto raise = [&](const RnsPoly &p) {
         RnsPoly coeff = p;
         coeff.toCoeff();
-        std::vector<std::vector<u64>> out;
-        conv.convert(coeff.residueViews(), out);
         RnsPoly r(RnsPoly::Uninit{}, ctx_.chain(),
                   ctx_.dataIdx(target_level), false);
         for (std::size_t t = 0; t < src_idx.size(); ++t)
             r.setResidue(t, coeff.residue(t));
+        // The added towers are converted straight into r.
+        std::vector<u64 *> rows(add_idx.size());
         for (std::size_t t = 0; t < add_idx.size(); ++t)
-            r.setResidue(src_idx.size() + t, out[t]);
+            rows[t] = r.residue(src_idx.size() + t).data();
+        conv.convert(coeff.residueViews(), rows);
         r.toNtt();
         return r;
     };

@@ -214,35 +214,36 @@ RnsPoly::rescaleLastTower()
     const u64 ql = modulus(last);
     const u64 half = ql / 2;
 
-    // Single-pass-per-tower pipeline (DESIGN.md §5e). One correction
-    // per kept tower — a centered subtract plus a Shoup multiply by
-    // q_last^-1 (the same mult+add the lowering models per remaining
-    // residue) — fused into the NTT boundary passes so each tower is
-    // swept once per stage instead of round-tripping through separate
-    // iNTT-scale / subtract / multiply / NTT-stage-1 sweeps.
+    // One correction per kept tower — a centered subtract plus a
+    // Shoup multiply by q_last^-1, the mult+add the lowering models
+    // per remaining residue — in a single sweep (DESIGN.md §5e).
     countMults(last);
     countAdds(last);
-    const u64 *xl = data_.data() + last * n_;
+    const KernelTable &K = kernels();
+    u64 *xl = data_.data() + last * n_;
     if (was_ntt) {
-        // Only the dropped tower leaves the NTT domain (canonical
-        // residues for the correction); each kept tower runs
-        // inverseLazy -> correction fused into the first forward
-        // stage -> remaining forward stages, staying cache-resident
-        // between the inverse and forward halves.
-        chain_->ntt(modIdx_[last]).inverse(data_.data() + last * n_);
+        // The chip's algorithm: only the dropped tower leaves the NTT
+        // domain. Its centered residues, reduced mod each kept q_t and
+        // transformed forward, are subtracted in the NTT domain, so a
+        // polynomial costs l NTTs (opcost::Rescale). The transform is
+        // linear and both sides are canonical, so the bytes equal the
+        // coefficient-domain correction's.
+        chain_->ntt(modIdx_[last]).inverse(xl);
+        countMemPass(2 * last, u64{last} * 40 * n_);
         parallelFor(0, last, [&](std::size_t t) {
+            // One residue of scratch per worker, reused across calls.
+            static thread_local std::vector<u64> xm;
+            xm.resize(n_);
             const u64 qt = modulus(t);
             const ShoupMul ql_inv(invMod(ql % qt, qt), qt);
-            const NttTables &ntt = chain_->ntt(modIdx_[t]);
-            const RescaleConsts rc{ntt.nInv().w, ntt.nInv().wPrec,
-                                   ql,           half,
-                                   ql_inv.w,     ql_inv.wPrec};
+            const RescaleConsts rc{0, 0, ql, half, ql_inv.w, ql_inv.wPrec};
+            K.rescaleCenterVec(xm.data(), xl, n_, &rc, qt);
+            chain_->ntt(modIdx_[t]).forwardLazy(xm.data());
             u64 *a = data_.data() + t * n_;
-            ntt.inverseLazy(a);
-            ntt.forwardRescale(a, xl, rc);
+            K.nttCorrectSubMulShoupVec(a, a, xm.data(), n_, rc.qlInvW,
+                                       rc.qlInvPrec, qt);
         });
     } else {
-        const KernelTable &K = kernels();
         countMemPass(last, u64{last} * 16 * n_);
         parallelFor(
             0, last,

@@ -112,6 +112,35 @@ BaseConverter::convert(const std::vector<ResidueView> &in,
     block = std::min(block, n);
     const std::size_t n_blocks = (n + block - 1) / block;
 
+    // Small N: the coefficient axis gives fewer tiles than workers (at
+    // N = 2^10 one tile), so split the towers instead. The scaling
+    // pass fans out over source towers and the MAC over destination
+    // towers; the kernels and their per-coefficient formulas are the
+    // tiled path's, so the bytes are the same. A caller already inside
+    // pool work runs inline either way and keeps the cache-sized tiles.
+    if (n_blocks < ThreadPool::global().threads() &&
+        !ThreadPool::inWorkerContext()) {
+        // The calling thread's scratch, reused across calls; the
+        // workers reach it through these pointers, not by name.
+        static thread_local std::vector<u64> scaled_buf;
+        static thread_local std::vector<const u64 *> xs_buf;
+        scaled_buf.resize(ls * n);
+        xs_buf.resize(ls);
+        u64 *const scaled = scaled_buf.data();
+        const u64 **const xs = xs_buf.data();
+        parallelFor(0, ls, [&](std::size_t i) {
+            const ShoupMul &s = qHatInv_[i];
+            xs[i] = scaled + i * n;
+            K.mulModShoupVec(scaled + i * n, in[i].data(), n, s.w, s.wPrec,
+                             chain_.modulus(src_[i]));
+        });
+        parallelFor(0, ld, [&](std::size_t j) {
+            K.baseconvMacVec(out[j], xs, qHatT_[j].data(), ls, n,
+                             chain_.modulus(dst_[j]), srcMax_);
+        });
+        return;
+    }
+
     parallelFor(0, n_blocks, [&](std::size_t b) {
         const std::size_t off = b * block;
         const std::size_t len = std::min(block, n - off);

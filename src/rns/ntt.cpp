@@ -44,7 +44,7 @@ NttTables::NttTables(std::size_t n, u64 q) : n_(n), q_(q)
 }
 
 void
-NttTables::forwardStages(u64 *a, std::size_t m) const
+NttTables::forwardStages(u64 *a) const
 {
     // Merged negacyclic Cooley-Tukey with Harvey lazy reduction:
     // operands ride in [0, 4q) between stages, each butterfly does one
@@ -55,7 +55,7 @@ NttTables::forwardStages(u64 *a, std::size_t m) const
     // so the intermediate representatives — not just the final
     // values — are bit-identical across backends.
     const KernelTable &K = kernels();
-    for (std::size_t t = n_ / (2 * m); t >= kNttVecMinBlock;
+    for (std::size_t m = 1, t = n_ / 2; t >= kNttVecMinBlock;
          m <<= 1, t >>= 1) {
         for (std::size_t i = 0; i < m; ++i) {
             const ShoupMul &w = fwdTwiddles_[m + i];
@@ -89,7 +89,7 @@ NttTables::forwardLazy(u64 *a) const
 {
     countNtts(1);
     countMemPass(logN_, u64{logN_} * 8 * n_);
-    forwardStages(a, 1);
+    forwardStages(a);
 }
 
 void
@@ -100,39 +100,6 @@ NttTables::forward(u64 *a) const
     forwardLazy(a);
     kernels().nttCorrectVec(a, n_, q_);
     countMemPass(1, u64{8} * n_);
-}
-
-void
-NttTables::forwardRescale(u64 *a, const u64 *xl,
-                          const RescaleConsts &rc) const
-{
-    countNtts(1);
-    if (n_ == 1) { // degenerate transform: the correction is the op
-        countMemPass(1, 24);
-        a[0] = rescaleCorrectScalar(a[0], xl[0], rc, q_);
-        return;
-    }
-    // Stage 1 reads xl alongside a; the remaining stages and the
-    // correction pass match forward() exactly.
-    countMemPass(logN_ + 1, u64{logN_ + 1} * 8 * n_ + u64{8} * n_);
-    const KernelTable &K = kernels();
-    // Stage m=1: one block of t = N/2 with twiddle fwdTwiddles_[1],
-    // with the rescale correction applied to both halves on load. The
-    // corrected values are canonical, so the composed stage's 2q-fold
-    // on the upper half is a no-op and the outputs match composed.
-    const std::size_t t = n_ >> 1;
-    if (t >= kNttVecMinBlock) {
-        const ShoupMul &w1 = fwdTwiddles_[1];
-        K.rescaleNttFwdButterflyVec(a, a + t, xl, xl + t, t, &rc, w1.w,
-                                    w1.wPrec, q_);
-        forwardStages(a, 2);
-    } else {
-        // Short transforms: correct every coefficient first, then run
-        // all stages — the same values, by the argument above.
-        K.rescaleEpilogueVec(a, xl, n_, &rc, q_);
-        forwardStages(a, 1);
-    }
-    K.nttCorrectVec(a, n_, q_);
 }
 
 void

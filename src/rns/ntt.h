@@ -23,8 +23,6 @@
 
 namespace cl {
 
-struct RescaleConsts;
-
 /**
  * Precomputed twiddle tables for one (N, q) pair. Immutable after
  * construction; shared by all polynomials over the same modulus.
@@ -51,9 +49,8 @@ class NttTables
     // ---- Fused-pipeline entry points (DESIGN.md §5e) --------------
     // The lazy variants run only the butterfly stages, leaving the
     // final correction/scaling to a fused epilogue kernel at the call
-    // site; forwardRescale absorbs the rescale correction into the
-    // first butterfly stage. Each counts as one NTT — the stage work
-    // is identical, only the boundary passes move.
+    // site. Each counts as one NTT — the stage work is identical, only
+    // the boundary passes move.
 
     /** Forward stages only: output in the lazy [0, 4q) window (the
      *  nttCorrectVec pass is the caller's, fused into its epilogue). */
@@ -63,16 +60,6 @@ class NttTables
      *  (the scaling pass is the caller's, fused into its epilogue). */
     void inverseLazy(u64 *a) const;
 
-    /**
-     * Forward NTT with the per-coefficient rescale correction
-     * (`rescaleCorrectScalar(a[i], xl[i], rc, q)`) fused into the
-     * first butterfly stage: single-pass replacement for the rescale
-     * subtract/multiply passes plus `forward`'s first stage. @p xl is
-     * the dropped tower's canonical residues (coefficient domain).
-     */
-    void forwardRescale(u64 *a, const u64 *xl,
-                        const RescaleConsts &rc) const;
-
     /** Shoup pair for N^-1 mod q (fused iNTT epilogues). */
     const ShoupMul &nInv() const { return nInv_; }
 
@@ -80,8 +67,8 @@ class NttTables
     u64 psi() const { return psi_; }
 
   private:
-    /** Forward CT stages m, 2m, ..., N/2 (no accounting). */
-    void forwardStages(u64 *a, std::size_t m) const;
+    /** Every forward CT stage (no accounting). */
+    void forwardStages(u64 *a) const;
 
     /** Inverse GS stages from m = N down to, and excluding, @p mEnd
      *  (no accounting). */

@@ -109,10 +109,22 @@ struct RescaleConsts
 };
 
 /**
+ * The dropped tower's centered residue reduced mod q: x_l shifted by
+ * half = q_l/2 (so the centering rounds to nearest), reduced mod q,
+ * and shifted back. Every rescale of a kept tower subtracts this.
+ */
+inline u64
+rescaleCenterScalar(u64 xlv, const RescaleConsts &rc, u64 q)
+{
+    const u64 xs = addMod(xlv, rc.half, rc.ql);
+    return subMod(xs % q, rc.half % q, q);
+}
+
+/**
  * The per-coefficient rescale correction, exactly as the composed
  * sequence computes it: fold the lazy iNTT representative to
- * canonical via mulLazy(a, nInv) + one conditional subtract, center
- * the last-tower residue x_l, reduce it mod q, subtract, and multiply
+ * canonical via mulLazy(a, nInv) + one conditional subtract, subtract
+ * the centered last-tower residue (rescaleCenterScalar), and multiply
  * by q_l^-1 (canonical Shoup). Both the scalar backend and the vector
  * backends' tail loops call this, so every backend computes the same
  * integer formula — the bit-identity contract extends to the fused
@@ -125,9 +137,7 @@ rescaleCorrectScalar(u64 a, u64 xlv, const RescaleConsts &rc, u64 q)
         (static_cast<unsigned __int128>(a) * rc.nInvPrec) >> 64);
     const u64 r = a * rc.nInvW - hi * q;
     const u64 v = r >= q ? r - q : r;
-    const u64 xs = addMod(xlv, rc.half, rc.ql);
-    const u64 xm = subMod(xs % q, rc.half % q, q);
-    const u64 d = subMod(v, xm, q);
+    const u64 d = subMod(v, rescaleCenterScalar(xlv, rc, q), q);
     const u64 h2 = static_cast<u64>(
         (static_cast<unsigned __int128>(d) * rc.qlInvPrec) >> 64);
     const u64 r2 = d * rc.qlInvW - h2 * q;
@@ -268,26 +278,23 @@ struct KernelTable
                                const RescaleConsts *rc, u64 q);
 
     /**
-     * Rescale correction fused into the first forward-CT butterfly
-     * stage (the rescale's subtract/multiply passes plus the NTT's
-     * first pass in one): for j in [0, t):
-     *   cx = rescaleCorrectScalar(x[j], xlx[j], rc, q)   (canonical)
-     *   cy = rescaleCorrectScalar(y[j], xly[j], rc, q)
-     *   v  = mulLazy(cy, w)
-     *   x[j] = cx + v;  y[j] = cx + 2q - v.
-     * The composed stage-1 fold of canonical cx is a no-op, so the
-     * outputs match the composed sequence exactly. q < 2^62.
+     * Rescale centering: y[i] = rescaleCenterScalar(xl[i], rc, q), the
+     * dropped tower's centered residues reduced mod q (canonical). Only
+     * rc's ql and half are read. The NTT-domain rescale transforms
+     * these into each kept tower instead of taking the kept towers out
+     * of NTT form. xl < ql; y may alias xl.
      */
-    void (*rescaleNttFwdButterflyVec)(u64 *x, u64 *y, const u64 *xlx,
-                                      const u64 *xly, std::size_t t,
-                                      const RescaleConsts *rc, u64 w,
-                                      u64 wPrec, u64 q);
+    void (*rescaleCenterVec)(u64 *y, const u64 *xl, std::size_t n,
+                             const RescaleConsts *rc, u64 q);
 
     /**
      * modDown epilogue: fold x[i] from the forward NTT's lazy [0, 4q)
      * to canonical (two conditional subtracts, exactly nttCorrectVec),
      * then dst[i] = (acc[i] - x_c) * w mod q — the NTT correction pass
-     * and ref::subMulShoupVec in one. acc < q; dst must not alias x.
+     * and ref::subMulShoupVec in one. acc < q. dst may alias acc or x
+     * (element i is read before it is written): the rescale corrects a
+     * tower in place, and modDown corrects its conversion output in
+     * place.
      */
     void (*nttCorrectSubMulShoupVec)(u64 *dst, const u64 *acc,
                                      const u64 *x, std::size_t n, u64 w,

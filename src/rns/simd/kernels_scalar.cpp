@@ -44,7 +44,7 @@ scalarTable()
         &ref::nttScaleInvVec,
         &ref::nttInvScaleButterflyVec,
         &ref::rescaleEpilogueVec,
-        &ref::rescaleNttFwdButterflyVec,
+        &ref::rescaleCenterVec,
         &ref::nttCorrectSubMulShoupVec,
         1,
         &keccakF1600One,

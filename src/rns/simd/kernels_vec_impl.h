@@ -986,6 +986,19 @@ struct RescaleVec
     }
 };
 
+/** rescaleCenterScalar on every lane; xl < ql. */
+template <class V, class S>
+inline typename V::R
+rescaleCenter(typename V::R xl, const RescaleVec<V, S> &c)
+{
+    // xs = addMod(xl, half, ql).
+    const auto xs = V::csub(V::add(xl, c.halfv), c.qlv);
+    // xs mod q: the identity Shoup multiply leaves [0, 2q).
+    const auto t = V::csub(c.modQ.mulLazy(xs), c.qv);
+    // subMod(xs mod q, half mod q, q).
+    return V::subModQ(t, c.halfModQ, c.qv);
+}
+
 /** rescaleCorrectScalar on every lane; a < 2q, xl < ql. */
 template <class V, class S>
 inline typename V::R
@@ -993,13 +1006,7 @@ rescaleCorrect(typename V::R a, typename V::R xl, const RescaleVec<V, S> &c)
 {
     // v = fold_q(mulLazy(a, nInv)).
     const auto v = V::csub(c.nInv.mulLazy(a), c.qv);
-    // xs = addMod(xl, half, ql).
-    const auto xs = V::csub(V::add(xl, c.halfv), c.qlv);
-    // xs mod q: the identity Shoup multiply leaves [0, 2q).
-    const auto t = V::csub(c.modQ.mulLazy(xs), c.qv);
-    // d = subMod(v, subMod(xs mod q, half mod q, q), q).
-    const auto d =
-        V::subModQ(v, V::subModQ(t, c.halfModQ, c.qv), c.qv);
+    const auto d = V::subModQ(v, rescaleCenter(xl, c), c.qv);
     // Canonical Shoup multiply by ql^-1.
     return V::csub(c.qlInv.mulLazy(d), c.qv);
 }
@@ -1036,37 +1043,24 @@ rescaleEpilogueVec(u64 *a, const u64 *xl, std::size_t n,
 
 template <class V, class S>
 void
-rescaleNttFwdButterfly(u64 *x, u64 *y, const u64 *xlx, const u64 *xly,
-                       std::size_t t, const RescaleConsts *rc, u64 w,
-                       u64 wPrec, u64 q)
+rescaleCenter(u64 *y, const u64 *xl, std::size_t n, const RescaleConsts *rc,
+              u64 q)
 {
     const RescaleVec<V, S> c(*rc, q);
-    const S mul(w, wPrec, q);
-    const auto two_q = V::set1(2 * q);
-    std::size_t j = 0;
-    for (; j + V::kLanes <= t; j += V::kLanes) {
-        // The corrected values are canonical, so the butterfly's
-        // 2q-fold of cx is a no-op, exactly as in the reference.
-        auto cx = rescaleCorrect(V::load(x + j), V::load(xlx + j), c);
-        auto cy = rescaleCorrect(V::load(y + j), V::load(xly + j), c);
-        fwdButterfly<V>(cx, cy, mul, two_q);
-        V::store(x + j, cx);
-        V::store(y + j, cy);
-    }
-    ref::rescaleNttFwdButterflyVec(x + j, y + j, xlx + j, xly + j, t - j,
-                                   rc, w, wPrec, q);
+    std::size_t i = 0;
+    for (; i + V::kLanes <= n; i += V::kLanes)
+        V::store(y + i, rescaleCenter(V::load(xl + i), c));
+    ref::rescaleCenterVec(y + i, xl + i, n - i, rc, q);
 }
 
 template <class V>
 void
-rescaleNttFwdButterflyVec(u64 *x, u64 *y, const u64 *xlx, const u64 *xly,
-                          std::size_t t, const RescaleConsts *rc, u64 w,
-                          u64 wPrec, u64 q)
+rescaleCenterVec(u64 *y, const u64 *xl, std::size_t n,
+                 const RescaleConsts *rc, u64 q)
 {
     withShoup<V>(narrow(q) && narrow(rc->ql), rescaleIfmaFits(q, rc->ql),
                  [&]<class S>(std::type_identity<S>) {
-                     rescaleNttFwdButterfly<V, S>(x, y, xlx, xly, t, rc, w,
-                                                  wPrec, q);
+                     rescaleCenter<V, S>(y, xl, n, rc, q);
                  });
 }
 
@@ -1217,7 +1211,7 @@ makeTable(SimdBackend id, const char *name)
         &nttScaleInvVec<V>,
         &nttInvScaleButterflyVec<V>,
         &rescaleEpilogueVec<V>,
-        &rescaleNttFwdButterflyVec<V>,
+        &rescaleCenterVec<V>,
         &nttCorrectSubMulShoupVec<V>,
         V::kLanes,
         &keccakF1600Lanes<V>,

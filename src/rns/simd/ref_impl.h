@@ -231,19 +231,11 @@ rescaleEpilogueVec(u64 *a, const u64 *xl, std::size_t n,
 }
 
 inline void
-rescaleNttFwdButterflyVec(u64 *x, u64 *y, const u64 *xlx, const u64 *xly,
-                          std::size_t t, const RescaleConsts *rc, u64 w,
-                          u64 wPrec, u64 q)
+rescaleCenterVec(u64 *y, const u64 *xl, std::size_t n,
+                 const RescaleConsts *rc, u64 q)
 {
-    const u64 two_q = 2 * q;
-    for (std::size_t j = 0; j < t; ++j) {
-        const u64 cx = rescaleCorrectScalar(x[j], xlx[j], *rc, q);
-        const u64 cy = rescaleCorrectScalar(y[j], xly[j], *rc, q);
-        const u64 hi = static_cast<u64>(((u128)cy * wPrec) >> 64);
-        const u64 v = cy * w - hi * q; // mulLazy: [0, 2q)
-        x[j] = cx + v;                 // [0, 4q)
-        y[j] = cx + two_q - v;         // (0, 4q)
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        y[i] = rescaleCenterScalar(xl[i], *rc, q);
 }
 
 inline void

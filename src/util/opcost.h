@@ -128,24 +128,18 @@ struct Rescale
 {
     u64 droppedIntts = 0; ///< 2(l − lo): dropped towers.
     u64 keptNtts = 0;     ///< 2lo: corrections into kept towers.
-    /** 2lo: the host also takes every kept tower out of NTT form
-     *  (RnsPoly::rescaleLastTower); the chip does not. */
-    u64 keptIntts = 0;
     u64 muls = 0; ///< 2lo multiplies by q_dropped⁻¹.
     u64 adds = 0; ///< 2lo subtracts.
 
     constexpr u64 chipNtts() const { return droppedIntts + keptNtts; }
-    constexpr Counts
-    host() const
-    {
-        return {chipNtts() + keptIntts, muls, adds, 0};
-    }
+    /** The host runs the chip's algorithm (RnsPoly::rescaleLastTower). */
+    constexpr Counts host() const { return {chipNtts(), muls, adds, 0}; }
 };
 
 constexpr Rescale
 rescale(unsigned l, unsigned lo)
 {
-    return {2ull * (l - lo), 2ull * lo, 2ull * lo, 2ull * lo, 2ull * lo};
+    return {2ull * (l - lo), 2ull * lo, 2ull * lo, 2ull * lo};
 }
 
 /** Mod-raise of a ciphertext from l to lo (> l) towers. */

@@ -11,6 +11,8 @@
 #include "runtime/hostrun.h"
 #include "util/threadpool.h"
 
+#include "../rns/kernel_test_util.h"
+
 namespace cl {
 namespace {
 
@@ -249,6 +251,44 @@ TEST_F(BootstrapTest, BitIdenticalAcrossWorkerCounts)
     }
     ThreadPool::WorkerScope scope;
     EXPECT_EQ(run(), ref) << "inside a WorkerScope";
+}
+
+TEST_F(BootstrapTest, PipelinesMatchPinnedDigests)
+{
+    // BitIdenticalAcrossWorkerCounts compares runs with each other;
+    // this pins the bytes themselves. The digests were taken before
+    // the flat EvalMod schedule, the tower-major stage accumulation,
+    // the chip-cost rescale and the destination-split base conversion
+    // replaced the per-half recursion, the per-diagonal MACs, the
+    // round-trip rescale and the single-tile conversion. Every
+    // available kernel table must reproduce them, serial and on 4
+    // workers: the whole pipeline is each multi-stream kernel's
+    // bit-identity check against the scalar table.
+    const Ciphertext exhausted = encryptAt(4, 1);
+    const Ciphertext top = encryptAt(5, ctx_->l());
+    const Ciphertext mid = encryptAt(6, ctx_->l() / 2);
+    const LinearTransformMode lt = BootstrapParams{}.ltMode;
+    const std::uint64_t pinned[] = {0xace2bbfce6275bb1ull,
+                                    0xe497473a2eb46516ull,
+                                    0x10188bb86e0846fbull};
+
+    test::TableGuard table_guard;
+    for (test::TableId id : test::availableTables(true)) {
+        setKernelTable(*test::tableFor(id));
+        for (unsigned threads : {1u, 4u}) {
+            ThreadPool::setGlobalThreads(threads);
+            const auto boot = freshBootstrapper();
+            const std::uint64_t got[] = {
+                digest(boot->bootstrap(exhausted)),
+                digest(boot->applyCoeffToSlot(top, lt)),
+                digest(boot->applySlotToCoeff(mid, lt))};
+            for (int i = 0; i < 3; ++i)
+                EXPECT_EQ(got[i], pinned[i])
+                    << "output " << i << " on " << test::tableName(id)
+                    << " at " << threads << " workers: 0x" << std::hex
+                    << got[i];
+        }
+    }
 }
 
 TEST_F(BootstrapTest, ConcurrentTransformsShareTheDiagonalCache)

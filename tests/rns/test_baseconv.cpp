@@ -7,6 +7,7 @@
 #include "rns/simd/ref_impl.h"
 #include "util/biguint.h"
 #include "util/prng.h"
+#include "util/threadpool.h"
 
 #include "kernel_test_util.h"
 
@@ -227,8 +228,14 @@ TEST_P(BaseConvTileTest, TiledConvertMatchesTwoPassOracle)
                                         {qi - 1, 0});
                 x_bound = std::max(x_bound, qi);
             }
+            // Inside a WorkerScope convert always runs the tiles (inline),
+            // whatever the pool size; DestinationSplitMatchesTiled below
+            // covers the split path against them.
             std::vector<std::vector<u64>> out;
-            BaseConverter(chain, src, dst).convert(in, out);
+            {
+                ThreadPool::WorkerScope inline_tiles;
+                BaseConverter(chain, src, dst).convert(in, out);
+            }
 
             // Two-pass oracle: scale every source row by
             // (Q/q_i)^-1 mod q_i, then one whole-row MAC per
@@ -264,6 +271,57 @@ TEST_P(BaseConvTileTest, TiledConvertMatchesTwoPassOracle)
             }
         }
     }
+}
+
+TEST_P(BaseConvTileTest, DestinationSplitMatchesTiled)
+{
+    // When the coefficient axis gives fewer tiles than workers, convert
+    // splits the towers across workers instead (scaling by source,
+    // MAC by destination). Inside a WorkerScope it always runs the
+    // tiles inline, so that is the reference. Shapes cover one tile
+    // (N = 2^10), a few (N = 2^12 at 20 sources) and many (N = 2^15 at
+    // 8 and 20 sources), where the split path must not engage.
+    test::TableGuard guard;
+    setKernelTable(*test::tableFor(GetParam()));
+    const unsigned saved_threads = ThreadPool::global().threads();
+    const unsigned counts[] = {1, 8, 20};
+    for (unsigned logn : {10u, 12u, 15u}) {
+        const std::size_t n = std::size_t{1} << logn;
+        for (unsigned bits : {28u, 40u, 55u}) {
+            const RnsChain chain(n, generateNttPrimes(bits, n, 40));
+            for (unsigned ls : counts) {
+                std::vector<unsigned> src;
+                std::vector<std::vector<u64>> in(ls);
+                for (unsigned i = 0; i < ls; ++i) {
+                    src.push_back(i);
+                    in[i] = test::randomVec(n, chain.modulus(i),
+                                            7000 + 31 * i + bits + logn,
+                                            {chain.modulus(i) - 1, 0});
+                }
+                for (unsigned ld : counts) {
+                    std::vector<unsigned> dst;
+                    for (unsigned j = 0; j < ld; ++j)
+                        dst.push_back(20 + j);
+                    const BaseConverter conv(chain, src, dst);
+                    std::vector<std::vector<u64>> tiled;
+                    {
+                        ThreadPool::WorkerScope inline_tiles;
+                        conv.convert(in, tiled);
+                    }
+                    for (unsigned threads : {1u, 4u}) {
+                        ThreadPool::setGlobalThreads(threads);
+                        std::vector<std::vector<u64>> out;
+                        conv.convert(in, out);
+                        ASSERT_EQ(out, tiled)
+                            << "N=2^" << logn << " bits=" << bits
+                            << " ls=" << ls << " ld=" << ld
+                            << " workers=" << threads;
+                    }
+                }
+            }
+        }
+    }
+    ThreadPool::setGlobalThreads(saved_threads);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -189,41 +189,31 @@ TEST_P(FusedKernelTest, RescaleEpilogueMatchesComposed)
     }
 }
 
-TEST_P(FusedKernelTest, RescaleNttFwdButterflyMatchesComposed)
+TEST_P(FusedKernelTest, RescaleCenterMatchesComposed)
 {
-    // Fused correction + first CT stage vs. the composed correction of
-    // both halves followed by nttFwdButterflyVec (whose [0,4q)->[0,2q)
-    // fold is a no-op on the canonical corrected values).
-    const KernelTable &R = *kernelTableFor(SimdBackend::Scalar);
+    // The NTT-domain rescale's centering pass vs. the scalar formula
+    // of composedRescale, out of place and in place.
     for (RescaleWidths rw : rescaleWidths()) {
         const auto [q, ql] = primePair(rw);
         // Seed salt: the q width alone for same-width pairs.
         const unsigned bits = rw.q_bits + 64 * (rw.ql_bits - rw.q_bits);
-        const ShoupMul w(q / 5 + 3, q);
-        const auto rc = makeConsts(q, ql, invMod(1024 % q, q));
-        for (std::size_t t : kLens) {
-            auto x1 = randomVec(t, 2 * q, 239 * bits + t,
-                                {q - 1, 2 * q - 1, 0});
-            auto y1 = randomVec(t, 2 * q, 241 * bits + t,
-                                {2 * q - 1, 0, q - 1});
-            const auto xlx =
-                randomVec(t, ql, 251 * bits + t, {ql - 1, 0});
-            const auto xly =
-                randomVec(t, ql, 257 * bits + t, {0, ql - 1});
-            auto x2 = x1, y2 = y1;
-
-            x1 = composedRescale(x1, xlx, rc, q);
-            y1 = composedRescale(y1, xly, rc, q);
-            R.nttFwdButterflyVec(x1.data(), y1.data(), t, w.w, w.wPrec,
-                                 q);
-
-            vec().rescaleNttFwdButterflyVec(x2.data(), y2.data(),
-                                            xlx.data(), xly.data(), t,
-                                            &rc, w.w, w.wPrec, q);
-            ASSERT_EQ(x1, x2) << "q_bits=" << rw.q_bits
-                                << " ql_bits=" << rw.ql_bits << " t=" << t;
-            ASSERT_EQ(y1, y2) << "q_bits=" << rw.q_bits
-                                << " ql_bits=" << rw.ql_bits << " t=" << t;
+        const auto rc = makeConsts(q, ql, 1);
+        for (std::size_t n : kLens) {
+            const auto xl = randomVec(n, ql, 239 * bits + n,
+                                      {ql - 1, 0, ql / 2, ql / 2 + 1});
+            std::vector<u64> expect(n);
+            for (std::size_t i = 0; i < n; ++i) {
+                const u64 xs = addMod(xl[i], rc.half, rc.ql);
+                expect[i] = subMod(xs % q, rc.half % q, q);
+            }
+            std::vector<u64> y(n);
+            vec().rescaleCenterVec(y.data(), xl.data(), n, &rc, q);
+            ASSERT_EQ(y, expect) << "q_bits=" << rw.q_bits
+                                 << " ql_bits=" << rw.ql_bits << " n=" << n;
+            auto in_place = xl;
+            vec().rescaleCenterVec(in_place.data(), in_place.data(), n,
+                                   &rc, q);
+            ASSERT_EQ(in_place, expect) << "in place";
         }
     }
 }
@@ -254,6 +244,17 @@ TEST_P(FusedKernelTest, CorrectSubMulShoupMatchesComposed)
                                            x2.data(), n, w.w, w.wPrec,
                                            q);
             ASSERT_EQ(d1, d2) << "bits=" << bits << " n=" << n;
+
+            // dst aliasing acc (the rescale corrects a tower in place)
+            // and aliasing x (modDown corrects its conversion output).
+            auto on_acc = acc;
+            vec().nttCorrectSubMulShoupVec(on_acc.data(), on_acc.data(),
+                                           x2.data(), n, w.w, w.wPrec, q);
+            ASSERT_EQ(on_acc, d1) << "dst == acc, bits=" << bits;
+            auto on_x = x2;
+            vec().nttCorrectSubMulShoupVec(on_x.data(), acc.data(),
+                                           on_x.data(), n, w.w, w.wPrec, q);
+            ASSERT_EQ(on_x, d1) << "dst == x, bits=" << bits;
         }
     }
 }
@@ -289,9 +290,10 @@ TEST_P(FusedKernelTest, WholeInverseNttFusedMatchesComposed)
 
 TEST_P(FusedKernelTest, ForwardRescaleMatchesComposedPipeline)
 {
-    // The whole fused rescale tower pipeline: inverseLazy +
-    // forwardRescale must equal inverse (canonical), the scalar
-    // rescale loop, forward.
+    // The NTT-domain (forward) rescale of one kept tower: the dropped
+    // tower's centered residues, transformed forward and subtracted in
+    // place by the fused correct-subtract-multiply epilogue, must equal
+    // inverse (canonical), the scalar rescale loop, forward.
     TableGuard table_guard;
     setKernelTable(vec());
     const std::size_t n = 1 << 12;
@@ -299,9 +301,7 @@ TEST_P(FusedKernelTest, ForwardRescaleMatchesComposedPipeline)
         auto primes = generateNttPrimes(bits, n, 2);
         const u64 q = primes[0], ql = primes[1];
         NttTables tables(n, q);
-        const ShoupMul ql_inv(invMod(ql % q, q), q);
-        const RescaleConsts rc{tables.nInv().w, tables.nInv().wPrec,
-                               ql, ql / 2, ql_inv.w, ql_inv.wPrec};
+        const auto rc = makeConsts(q, ql, 1);
 
         const auto input = randomVec(n, q, 3000 + bits, {q - 1, 0});
         const auto xl = randomVec(n, ql, 3100 + bits, {ql - 1, 0});
@@ -311,11 +311,13 @@ TEST_P(FusedKernelTest, ForwardRescaleMatchesComposedPipeline)
         scalarRescaleTower(composed.data(), xl.data(), n, q, ql);
         tables.forward(composed.data());
 
-        // Fused: lazy inverse, correction with the real N^-1 pair
-        // folded into the forward transform's first CT stage.
         auto fused = input;
-        tables.inverseLazy(fused.data());
-        tables.forwardRescale(fused.data(), xl.data(), rc);
+        std::vector<u64> xm(n);
+        vec().rescaleCenterVec(xm.data(), xl.data(), n, &rc, q);
+        tables.forwardLazy(xm.data());
+        vec().nttCorrectSubMulShoupVec(fused.data(), fused.data(),
+                                       xm.data(), n, rc.qlInvW,
+                                       rc.qlInvPrec, q);
 
         ASSERT_EQ(fused, composed) << "bits=" << bits;
     }
@@ -325,8 +327,8 @@ TEST_P(FusedKernelTest, WholeRescaleLastTowerMatchesScalarLoop)
 {
     // RnsPoly::rescaleLastTower in both domains against the oracle:
     // to the coefficient domain, the scalar loop on every kept tower,
-    // drop the last tower, back to the NTT domain. N = 16 takes
-    // forwardRescale's short-transform branch.
+    // drop the last tower, back to the NTT domain. At N = 16 every
+    // forward stage is a tail stage.
     TableGuard table_guard;
     setKernelTable(vec());
     for (std::size_t n : {std::size_t{16}, std::size_t{1} << 12}) {

@@ -199,6 +199,9 @@ TEST_F(HostOpCostTest, RescaleAndModRaiseMatchKernelCounters)
 {
     for (unsigned l : {kL, 3u, 2u}) {
         Ciphertext ct = encryptAt(l);
+        // The chip's algorithm: per polynomial, one INTT of the dropped
+        // tower and one NTT per kept tower.
+        EXPECT_EQ(opcost::rescale(l, l - 1).host().ntts, 2u * l);
         expectCounts(opcost::rescale(l, l - 1).host(),
                      [&] { eval_->rescale(ct); },
                      "rescale l=" + std::to_string(l));
