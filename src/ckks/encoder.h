@@ -83,9 +83,11 @@ class CkksEncoder
   private:
     const CkksContext &ctx_;
     std::size_t slots_;
-    std::size_t m_; // 2N, order of the root of unity
-    std::vector<Complex> ksiPows_;        // e^{2 pi i j / m}, j in [0, m]
-    std::vector<std::size_t> rotGroup_;   // 5^j mod m, j in [0, slots)
+    /** Butterfly twiddles of fftSpecialLevel / fftSpecialInvLevel:
+     *  level len's len/2 factors start at offset len/2 - 1, so each
+     *  butterfly reads its factor instead of reducing 5^j mod 4·len. */
+    std::vector<Complex> fwdTw_;
+    std::vector<Complex> invTw_;
 };
 
 } // namespace cl

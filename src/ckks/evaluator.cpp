@@ -56,27 +56,32 @@ Evaluator::sub(const Ciphertext &a, const Ciphertext &b) const
     return r;
 }
 
-RnsPoly
-Evaluator::alignPlain(const RnsPoly &plain, std::size_t ct_towers) const
+const RnsPoly &
+Evaluator::alignPlain(const RnsPoly &plain, std::size_t ct_towers,
+                      RnsPoly &scratch) const
 {
+    // An NTT-form plaintext on the ciphertext's towers is used as is.
+    if (plain.isNtt() && plain.towers() <= ct_towers)
+        return plain;
     // Drop surplus towers *before* the NTT so the conversion only
     // touches residues that survive, and charge the conversion — the
     // encoder hands out coefficient-form plaintexts, so this is real
     // NTT work the accounting previously missed.
-    RnsPoly p = plain;
-    if (p.towers() > ct_towers)
-        p.dropTowers(p.towers() - ct_towers);
-    if (!p.isNtt()) {
-        p.toNtt();
-        ctx_.ops().ntts += p.towers();
+    scratch = plain;
+    if (scratch.towers() > ct_towers)
+        scratch.dropTowers(scratch.towers() - ct_towers);
+    if (!scratch.isNtt()) {
+        scratch.toNtt();
+        ctx_.ops().ntts += scratch.towers();
     }
-    return p;
+    return scratch;
 }
 
 Ciphertext
 Evaluator::addPlain(const Ciphertext &a, const RnsPoly &plain) const
 {
-    RnsPoly p = alignPlain(plain, a.c0.towers());
+    RnsPoly scratch;
+    const RnsPoly &p = alignPlain(plain, a.c0.towers(), scratch);
     Ciphertext r = a;
     r.c0 += p;
     ctx_.ops().polyAdds += r.c0.towers();
@@ -94,7 +99,8 @@ Evaluator::addPlain(const Ciphertext &a, const RnsPoly &plain,
 Ciphertext
 Evaluator::subPlain(const Ciphertext &a, const RnsPoly &plain) const
 {
-    RnsPoly p = alignPlain(plain, a.c0.towers());
+    RnsPoly scratch;
+    const RnsPoly &p = alignPlain(plain, a.c0.towers(), scratch);
     Ciphertext r = a;
     r.c0 -= p;
     ctx_.ops().polyAdds += r.c0.towers();
@@ -123,7 +129,8 @@ Ciphertext
 Evaluator::mulPlain(const Ciphertext &a, const RnsPoly &plain,
                     double plain_scale) const
 {
-    RnsPoly p = alignPlain(plain, a.c0.towers());
+    RnsPoly scratch;
+    const RnsPoly &p = alignPlain(plain, a.c0.towers(), scratch);
     Ciphertext r = a;
     r.c0 *= p;
     r.c1 *= p;

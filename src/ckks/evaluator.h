@@ -193,7 +193,11 @@ class Evaluator
   private:
     void checkSameShape(const Ciphertext &a, const Ciphertext &b) const;
     void checkPlainScale(const Ciphertext &a, double plain_scale) const;
-    RnsPoly alignPlain(const RnsPoly &plain, std::size_t ct_towers) const;
+    /** @p plain in NTT form on at most @p ct_towers towers: @p plain
+     *  itself when it already is, else a converted copy in
+     *  @p scratch. */
+    const RnsPoly &alignPlain(const RnsPoly &plain, std::size_t ct_towers,
+                              RnsPoly &scratch) const;
 
     const CkksContext &ctx_;
 };

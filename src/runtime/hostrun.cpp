@@ -1,7 +1,9 @@
 #include "hostrun.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <mutex>
 #include <set>
 #include <unordered_map>
 
@@ -112,27 +114,72 @@ HostRunner::run(const HomProgram &prog,
     const double scale = ctx_.params().scale();
     const long lslots = static_cast<long>(slots);
 
-    // ---- Pre-encode plaintexts, shared by (plainId, level): the
-    //      tasks only read them, so one serial pass suffices. ----
-    std::unordered_map<std::string, RnsPoly> plains;
-    auto plainKey = [&](const HomOp &op) {
-        return op.plainId + "@" + std::to_string(effLevel(op.level));
-    };
-    for (const HomOp &op : prog.ops) {
-        if (op.kind != HomOpKind::AddPlain &&
-            op.kind != HomOpKind::MulPlain)
+    // ---- Plaintexts: one key per (plainId, level). This pass only
+    //      numbers the keys; the first task that needs a key encodes
+    //      it on its own worker, later consumers reuse it, and the
+    //      last one releases it (releaseOperands). ----
+    constexpr std::uint32_t kNoPlain = ~std::uint32_t{0};
+    std::vector<std::uint32_t> plainOf(prog.ops.size(), kNoPlain);
+    std::unordered_map<std::string, std::uint32_t> keys;
+    for (std::uint32_t i = 0; i < prog.ops.size(); ++i) {
+        const HomOp &op = prog.ops[i];
+        if (op.kind != HomOpKind::AddPlain && op.kind != HomOpKind::MulPlain)
             continue;
-        const std::string key = plainKey(op);
-        if (plains.count(key))
-            continue;
-        const auto vals =
-            slotValues(mixSeed(opts.seed, fnvString(op.plainId)), slots);
-        plains.emplace(key,
-                       enc_.encode(vals, scale, effLevel(op.level)));
+        const std::string key =
+            op.plainId + "@" + std::to_string(effLevel(op.level));
+        plainOf[i] =
+            keys.try_emplace(key, static_cast<std::uint32_t>(keys.size()))
+                .first->second;
     }
+    struct Plain
+    {
+        std::once_flag encoded;
+        RnsPoly poly;
+        std::atomic<std::uint32_t> uses{0};
+    };
+    std::vector<Plain> plains(keys.size());
+    std::atomic<std::size_t> encodes{0};
+    for (std::uint32_t k : plainOf)
+        if (k != kNoPlain)
+            plains[k].uses.fetch_add(1, std::memory_order_relaxed);
 
-    // ---- One task per op over the dedup'd dependence graph. ----
+    // The plaintext of plain op i, encoded on first use and kept in
+    // NTT form so no consumer repeats the transform.
+    auto acquirePlain = [&](std::uint32_t i) -> const RnsPoly & {
+        Plain &pl = plains[plainOf[i]];
+        std::call_once(pl.encoded, [&] {
+            const HomOp &op = prog.ops[i];
+            const auto vals = slotValues(
+                mixSeed(opts.seed, fnvString(op.plainId)), slots);
+            pl.poly = enc_.encode(vals, scale, effLevel(op.level));
+            pl.poly.toNtt();
+            ctx_.ops().ntts += pl.poly.towers();
+            encodes.fetch_add(1, std::memory_order_relaxed);
+        });
+        return pl.poly;
+    };
+
+    // ---- One task per op over the dedup'd dependence graph. Each
+    //      op's ciphertext is dropped once its last consumer has read
+    //      it; Output slots stay for the digest. ----
     std::vector<Ciphertext> cts(prog.ops.size());
+    std::vector<std::atomic<std::uint32_t>> ctUses(prog.ops.size());
+    for (const HomOp &op : prog.ops)
+        for (std::uint32_t a : op.args)
+            ctUses[a].fetch_add(1, std::memory_order_relaxed);
+
+    // Op i has read its operands: release the ones it used last.
+    auto releaseOperands = [&](std::uint32_t i) {
+        if (plainOf[i] != kNoPlain) {
+            Plain &pl = plains[plainOf[i]];
+            if (pl.uses.fetch_sub(1, std::memory_order_acq_rel) == 1)
+                pl.poly = RnsPoly();
+        }
+        for (std::uint32_t a : prog.ops[i].args)
+            if (ctUses[a].fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+                prog.ops[a].kind != HomOpKind::Output)
+                cts[a] = Ciphertext();
+    };
 
     auto dropTo = [&](Ciphertext &ct, unsigned target) {
         while (ct.level() > target)
@@ -158,11 +205,10 @@ HostRunner::run(const HomProgram &prog,
             r = eval_.add(cts[op.args[0]], cts[op.args[1]]);
             break;
         case HomOpKind::AddPlain:
-            r = eval_.addPlain(cts[op.args[0]], plains.at(plainKey(op)));
+            r = eval_.addPlain(cts[op.args[0]], acquirePlain(i));
             break;
         case HomOpKind::MulPlain:
-            r = eval_.mulPlain(cts[op.args[0]], plains.at(plainKey(op)),
-                               scale);
+            r = eval_.mulPlain(cts[op.args[0]], acquirePlain(i), scale);
             dropTo(r, out_level);
             break;
         case HomOpKind::Mul:
@@ -198,6 +244,7 @@ HostRunner::run(const HomProgram &prog,
             r = cts[op.args[0]];
             break;
         }
+        releaseOperands(i);
         // Canonical scale: the projected program runs at clamped
         // depth, so real scale tracking is meaningless; forcing the
         // context scale keeps every add/multiply guard satisfied and
@@ -216,6 +263,7 @@ HostRunner::run(const HomProgram &prog,
                homOpWeight(prog.ops[i]));
     }
     res.stats = tg.run(opts.mode, opts.threads);
+    res.plaintexts = encodes.load();
     CL_ASSERT(res.stats.edges == g.edges,
               "task graph disagrees with the compiler dependence graph");
 

@@ -17,10 +17,15 @@
  * serial execution produce bit-identical ciphertexts at any
  * CL_THREADS / CL_SIMD setting. Each Input op encrypts through its
  * own per-op-seeded Encryptor (a per-task PRNG stream — no shared
- * draw order to race on), plaintexts are pre-encoded before tasks
- * launch, every op writes only its own slot, and scales are forced to
- * the context scale after every op so the projected program never
- * trips the evaluator's scale guards regardless of clamped depth.
+ * draw order to race on). Each distinct (plainId, level) plaintext is
+ * encoded exactly once, in NTT form, by whichever task first needs it
+ * (a per-key once-flag); its value depends only on the seed and the
+ * key, never on which worker encodes it. Every op writes only its own
+ * slot; an atomic use count releases each plaintext and each
+ * non-Output ciphertext after its last consumer has read it. Scales
+ * are forced to the context scale after every op so the projected
+ * program never trips the evaluator's scale guards regardless of
+ * clamped depth.
  */
 
 #ifndef CL_RUNTIME_HOSTRUN_H
@@ -46,6 +51,9 @@ struct HostRunResult
     /** FNV-1a over every output's level, scale, basis and residue
      *  words — equal iff the outputs are byte-identical. */
     std::uint64_t digest = 0;
+    /** Plaintexts this run encoded: one per distinct (plainId,
+     *  level), however many ops read it. */
+    std::size_t plaintexts = 0;
     TaskGraphStats stats;
 };
 

@@ -10,15 +10,21 @@
  *    deadlock, no oversubscription);
  *  - HostRunner's graph execution is *byte-identical* to serial
  *    execution on the full Sec 8 benchmark suite, at every worker
- *    count and every available SIMD backend;
+ *    count and every available SIMD backend, and reproduces digests
+ *    pinned from an earlier build;
+ *  - HostRunner encodes each shared plaintext once per run, however
+ *    many concurrent tasks read it;
  *  - a batch of concurrent bootstrap() calls over one Bootstrapper
  *    is byte-identical to bootstrapping the batch serially.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,6 +32,7 @@
 #include "ckks/encryptor.h"
 #include "rns/simd/kernels.h"
 #include "runtime/hostrun.h"
+#include "util/instrument.h"
 #include "util/threadpool.h"
 #include "workloads/benchmarks.h"
 
@@ -316,6 +323,95 @@ TEST_F(HostRunnerTest, ByteIdentityHoldsAcrossSimdBackends)
                 EXPECT_EQ(serial, ref) << "backend changed the bytes";
         }
         setSimdBackend(saved);
+    }
+}
+
+TEST_F(HostRunnerTest, SharedPlaintextsAreEncodedOnce)
+{
+    // logreg's bootstraps reuse their transform plaintexts: the
+    // graph's once-per-key cache (exercised concurrently here, and
+    // under TSan in CI) must encode each (plainId, level) once, and
+    // charge the one NTT it does per plaintext.
+    const HomProgram prog =
+        logisticRegression(SecurityConfig::bits80(), 8);
+    std::size_t plain_ops = 0;
+    std::set<std::pair<std::string, unsigned>> keys;
+    u64 encrypt_ntts = 0;
+    for (const HomOp &op : prog.ops) {
+        if (op.kind == HomOpKind::AddPlain ||
+            op.kind == HomOpKind::MulPlain) {
+            ++plain_ops;
+            keys.emplace(op.plainId, std::clamp(op.level, 1u, ctx_->l()));
+        }
+        // Inputs encrypt outside the evaluator, which transforms the
+        // message and its three samples uncharged.
+        if (op.kind == HomOpKind::Input)
+            encrypt_ntts += 4 * std::clamp(op.outLevel, 1u, ctx_->l());
+    }
+    HostRunner runner(*ctx_, *enc_, *keygen_, prog);
+    HostRunOptions opts;
+    opts.mode = ExecMode::Serial;
+    const HostRunResult ref = runner.run(prog, opts);
+    EXPECT_LT(keys.size(), plain_ops);
+    EXPECT_EQ(ref.plaintexts, keys.size());
+    for (unsigned threads : {1u, 4u, 8u}) {
+        opts.mode = ExecMode::Graph;
+        opts.threads = threads;
+        ctx_->ops().reset();
+        kernelCounters().reset();
+        const HostRunResult got = runner.run(prog, opts);
+        EXPECT_EQ(got.digest, ref.digest) << threads << " workers";
+        EXPECT_EQ(got.plaintexts, keys.size()) << threads << " workers";
+        EXPECT_EQ(ctx_->ops().ntts + encrypt_ntts,
+                  kernelCounters().snapshot().ntts)
+            << threads << " workers";
+    }
+}
+
+/**
+ * Pinned bytes at logN 12, L 4 (the lola-infer workload's ring). The
+ * identity tests above only compare runs of one build with each
+ * other; these digests were captured before plaintext encoding moved
+ * into the graph tasks, so a change to where or how often plaintexts
+ * are encoded must still reproduce every output byte. logreg reuses
+ * plaintexts across ops; lola-mnist-ew encrypts its weights, so it has
+ * no plaintexts at all. The runners draw their keys from one
+ * KeyGenerator in turn, so the order of the cases is part of the
+ * pinned values.
+ */
+TEST(HostRunnerGolden, DigestsMatchPinnedValues)
+{
+    const CkksContext ctx(CkksParams::testSmall());
+    const CkksEncoder enc(ctx);
+    KeyGenerator keygen(ctx);
+    struct Case
+    {
+        HomProgram prog;
+        std::uint64_t digest;
+    };
+    std::vector<Case> cases = {
+        {lolaMnist(false), 6120456506245554208ull},
+        {lolaMnist(true), 4693974218992190692ull},
+    };
+#if !defined(CL_TEST_SANITIZED)
+    // 1540 ops, 364 plain ops over 180 plaintexts (shared across its
+    // bootstraps); SharedPlaintextsAreEncodedOnce covers the sharing
+    // under sanitizers at a smaller ring.
+    cases.push_back({logisticRegression(SecurityConfig::bits80(), 8),
+                     1928103955079217744ull});
+#endif
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.prog.name);
+        HostRunner runner(ctx, enc, keygen, c.prog);
+        HostRunOptions opts;
+        opts.mode = ExecMode::Serial;
+        EXPECT_EQ(runner.run(c.prog, opts).digest, c.digest) << "serial";
+        for (unsigned threads : {1u, 4u}) {
+            opts.mode = ExecMode::Graph;
+            opts.threads = threads;
+            EXPECT_EQ(runner.run(c.prog, opts).digest, c.digest)
+                << "graph at " << threads << " workers";
+        }
     }
 }
 
